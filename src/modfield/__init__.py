@@ -6,9 +6,10 @@ A numerical method of order p applied to a perturbed field
 
 can follow the exact flow of ``f`` far more accurately than the method
 alone.  This package provides the analytic correction terms (Taylor-jet
-based) for Euler and RK2, a numerical probe for the implicit midpoint
-rule, neural-network approximations of the corrections trained through
-the integrator step, rigorous error diagnostics, and a benchmark CLI.
+based) for Euler and explicit-midpoint RK2, a numerical probe for the
+implicit midpoint rule, neural-network approximations of the corrections
+trained through the integrator step, rigorous error diagnostics, and a
+benchmark CLI.
 """
 
 from .errors import (ConditioningError, ConditioningWarning,
@@ -28,11 +29,10 @@ from .modified_field import (TruncatedModifiedField, euler_term,
                              truncated_field)
 from .neural import (AdamState, MlpParams, ModifiedFieldModel, adam_update,
                      init_model, load_model, mlp_forward, mlp_init,
-                     model_eval, save_model, scheme_step, step_loss,
-                     step_loss_and_grad)
+                     save_model, scheme_step, step_loss, step_loss_and_grad)
 from .systems import (DomainBox, VectorFieldSpec, get_system, pendulum_field,
                       reference_flow, reference_trajectory, rigid_body_field,
-                      sample_domain, system_names)
+                      system_names)
 from .training import (Dataset, DatasetRecord, LossReport, TrainConfig,
                        alt_extract_targets, alt_train,
                        build_alt_training_data, generate_dataset, get_preset,

@@ -1,11 +1,15 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Just enough operator coverage to backpropagate a scalar loss through an
-explicit Runge-Kutta step (or a fixed unroll of the implicit-midpoint
-fixed point) whose right-hand side mixes benchmark vector fields
-(sin/cos/products of state columns) with small tanh MLPs.  Variables
-hold dense float arrays; constants stay plain ndarrays and are never
-tracked.  Gradients accumulate in reverse topological order.
+Just enough operator coverage to backpropagate a scalar loss through the
+same stepping code that runs on arrays: the explicit Runge-Kutta stage
+loop (or the fixed unroll of the implicit-midpoint fixed point) over
+benchmark vector fields (sin/cos/products of state columns) and small
+tanh MLPs.  Variables hold dense float arrays; constants stay plain
+ndarrays and are never tracked, on either side of an operator
+(``ndarray * Var`` reaches ``Var.__rmul__``), and ``affine`` and
+``concat_cols`` give plain arrays when nothing they take is a variable,
+so one forward pass serves both.  Gradients accumulate in reverse
+topological order.
 """
 
 import numpy as np
@@ -26,6 +30,8 @@ class Var:
     """Node of the tape: an array value plus how to push gradients back."""
 
     __slots__ = ("value", "grad", "parents", "backward")
+    # numpy defers binary operators to Var instead of broadcasting over it
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=float)
@@ -63,9 +69,6 @@ class Var:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Var) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Var):
@@ -115,10 +118,6 @@ class Var:
         return Var(self.value[..., i], (self,), back)
 
 
-def const(x):
-    return Var(x)
-
-
 def stack_cols(cols):
     """Stack Vars of shape ``(B,)`` into ``(B, d)``."""
     cols = list(cols)
@@ -130,17 +129,33 @@ def stack_cols(cols):
 
 
 def concat_cols(a, b):
-    """Concatenate ``(B, m)`` and ``(B, n)`` along the last axis."""
+    """Concatenate ``(B, m)`` and a constant ``(B, n)`` along the last axis.
+
+    A plain array when ``a`` is one.
+    """
+    if not isinstance(a, Var):
+        return np.concatenate([a, b], axis=-1)
     m = a.value.shape[-1]
 
-    def back(g, a=a, b=b, m=m):
+    def back(g, a=a, m=m):
         a._accum(g[..., :m])
-        b._accum(g[..., m:])
-    return Var(np.concatenate([a.value, b.value], axis=-1), (a, b), back)
+    return Var(np.concatenate([a.value, b], axis=-1), (a,), back)
 
 
 def affine(x, w, b):
-    """``x @ w.T + b`` for ``x`` (B, in), ``w`` (out, in), ``b`` (out,)."""
+    """``x @ w.T + b`` for ``x`` (B, in), ``w`` (out, in), ``b`` (out,).
+
+    ``w`` and ``b`` are both Vars or both arrays, and with arrays the
+    result is a plain array; ``x`` may be either.
+    """
+    if not isinstance(w, Var):
+        return x @ w.T + b
+    if not isinstance(x, Var):
+        def back(g, x=x, w=w, b=b):
+            w._accum(g.T @ x)
+            b._accum(g.sum(axis=0))
+        return Var(x @ w.value.T + b.value, (w, b), back)
+
     def back(g, x=x, w=w, b=b):
         x._accum(g @ w.value)
         w._accum(g.T @ x.value)

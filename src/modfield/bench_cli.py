@@ -7,9 +7,10 @@ standard/alternative method comparison.  Every command writes plot-ready
 CSV files plus a JSON manifest with checksums; given the same seed and
 inputs, all non-timing outputs are byte-identical across reruns.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-The ``MODFIELD_WORKERS`` environment variable sets the worker count for
-parallel dataset generation and per-term training jobs.
+Exit codes: 0 success, 2 configuration or usage error, 3 numerical
+failure.  The ``MODFIELD_WORKERS`` environment variable (a positive
+integer, default 1) sets the worker count for parallel dataset generation
+and per-term training jobs.
 """
 
 import argparse
@@ -44,19 +45,17 @@ DEFAULT_Y0 = {
     "rigid_body": (np.cos(1.1), 0.0, np.sin(1.1)),
 }
 
-# analytic truncation depths exposed on the command line
-MAX_K = {"euler": 5, "rk2": 3}
-
 
 def _workers():
+    raw = os.environ.get("MODFIELD_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("MODFIELD_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
-
-
-def _f17(x):
-    return format(float(x), ".17g")
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"MODFIELD_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _sha256(path):
@@ -89,8 +88,8 @@ def _write_csv(path, command, seed, header, rows):
         fh.write(f"# seed: {seed}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _f17(v)
-                              for v in row) + "\n")
+            fh.write(",".join(v if isinstance(v, str)
+                              else neural.format_exact(v) for v in row) + "\n")
 
 
 def _write_manifest(outdir, command, cfg, seed, inputs, outputs, seconds):
@@ -106,10 +105,6 @@ def _write_manifest(outdir, command, cfg, seed, inputs, outputs, seconds):
     path = outdir / f"{command}-manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _load_model(path):
-    return neural.load_model(path)
 
 
 def _floats(text):
@@ -129,10 +124,6 @@ def _y0_for(args, system):
     if getattr(args, "y0", None):
         return np.array(_floats(args.y0))
     return np.array(DEFAULT_Y0[system])
-
-
-def _fixed_step_states(stepper, field_, y0, h, n_steps):
-    return integrate(stepper, field_, y0, h, n_steps).states
 
 
 def _max_traj_error(states, ref_states):
@@ -166,9 +157,8 @@ def _train_common(args, alt):
     if alt:
         X, C, XR, R, _steps = training.build_alt_training_data(
             cfg, workers=_workers())
-        nets = list(model.term_nets) + [model.remainder_net]
-        _nets, histories = training.alt_train(nets, (X, C), (XR, R), cfg,
-                                              workers=_workers())
+        _nets, histories = training.alt_train(model.nets, (X, C), (XR, R),
+                                              cfg, workers=_workers())
         model_path = out / "model_alt.json"
         neural.save_model(model, model_path)
         loss_path = out / "loss_alt.csv"
@@ -213,24 +203,16 @@ def cmd_field_error_map(args):
     t0 = time.perf_counter()
     cfg = _resolve_cfg(args)
     out = _outdir(args)
-    model = _load_model(args.model)
+    model = neural.load_model(args.model)
     base = model.base
     scheme = model.scheme
-    family = "rk2" if scheme.startswith("rk2") else scheme
-    if family in MAX_K and not (1 <= args.k <= MAX_K[family]):
-        raise UnsupportedTruncationError(
-            f"k={args.k} outside supported range 1..{MAX_K[family]} "
-            f"for scheme {scheme!r}")
 
-    if family == "midpoint":
+    if scheme == "midpoint":
         # no closed-form truncation: probe the modified field numerically
         def ref_field(X, h):
             return modified_field.midpoint_field_probe(base, X, h)
     else:
-        trunc = modified_field.truncated_field(base, scheme, args.k)
-
-        def ref_field(X, h):
-            return trunc(X, h)
+        ref_field = modified_field.truncated_field(base, scheme, args.k)
 
     box = cfg.domain()
     X = box_grid(box, args.grid_n)
@@ -261,7 +243,7 @@ def cmd_convergence(args):
     t0 = time.perf_counter()
     cfg = _resolve_cfg(args)
     out = _outdir(args)
-    model = _load_model(args.model)
+    model = neural.load_model(args.model)
     base = model.base
     scheme = model.scheme
     stepper = get_stepper(scheme)
@@ -276,12 +258,12 @@ def cmd_convergence(args):
         times = h * np.arange(n + 1)
         ref = reference_trajectory(base, y0, times, tol=1e-12)
         try:
-            bare = _fixed_step_states(stepper, base, y0, h, n)
+            bare = integrate(stepper, base, y0, h, n).states
             err_f = _max_traj_error(bare, ref)
         except ModfieldError:
             err_f = float("nan")
         try:
-            learned = _fixed_step_states(stepper, model, y0, h, n)
+            learned = integrate(stepper, model, y0, h, n).states
             err_fapp = _max_traj_error(learned, ref)
         except ModfieldError:
             err_fapp = float("nan")
@@ -311,7 +293,7 @@ def cmd_efficiency(args):
         raise ValueError("--repeats must be >= 3")
     cfg = _resolve_cfg(args)
     out = _outdir(args)
-    model = _load_model(args.model)
+    model = neural.load_model(args.model)
     base = model.base
     scheme = model.scheme
     stepper = get_stepper(scheme)
@@ -322,7 +304,7 @@ def cmd_efficiency(args):
     tols = _floats(args.tol_list)
     ks = _ints(args.k_list)
     y0 = _y0_for(args, base.name)
-    family = "rk2" if scheme.startswith("rk2") else scheme
+    k_max = modified_field.max_truncation(scheme)
 
     rows = []
     for h in hs:
@@ -331,13 +313,13 @@ def cmd_efficiency(args):
         ref = reference_trajectory(base, y0, times_grid, tol=1e-12)
         fields = [("scheme_f", base), ("scheme_fapp", model)]
         for k in ks:
-            if family in MAX_K and 2 <= k <= MAX_K[family]:
+            if 2 <= k <= k_max:
                 fields.append(
                     (f"scheme_trunc_k{k}",
                      modified_field.truncated_field(base, scheme, k)))
         for name, fld in fields:
             seconds, states = _timed(
-                lambda fld=fld: _fixed_step_states(stepper, fld, y0, h, n),
+                lambda fld=fld: integrate(stepper, fld, y0, h, n).states,
                 args.repeats)
             rows.append([name, h, seconds, _max_traj_error(states, ref)])
     for tol in tols:
@@ -360,7 +342,7 @@ def cmd_invariant_drift(args):
     t0 = time.perf_counter()
     cfg = _resolve_cfg(args)
     out = _outdir(args)
-    model = _load_model(args.model)
+    model = neural.load_model(args.model)
     base = model.base
     scheme = model.scheme
     stepper = get_stepper(scheme)
@@ -370,8 +352,8 @@ def cmd_invariant_drift(args):
     n = max(1, round(T / h))
     times = h * np.arange(n + 1)
     columns = {
-        "f": _fixed_step_states(stepper, base, y0, h, n),
-        "fapp": _fixed_step_states(stepper, model, y0, h, n),
+        "f": integrate(stepper, base, y0, h, n).states,
+        "fapp": integrate(stepper, model, y0, h, n).states,
         "dopri5": reference_trajectory(base, y0, times, tol=1e-6),
         "ref": reference_trajectory(base, y0, times, tol=1e-10),
     }
@@ -419,9 +401,7 @@ def cmd_param_study(args):
                 delta = training.learning_error_delta(
                     model, trunc, box, args.grid_n, hs)
                 # weight count only; biases left out of the abscissa
-                w = sum(wt.size for net in (model.term_nets
-                                            + [model.remainder_net])
-                        for wt in net.weights)
+                w = sum(wt.size for net in model.nets for wt in net.weights)
                 rows.append([w, depth, K, delta, np.sqrt(w)])
     path = out / "param_study.csv"
     _write_csv(path, "param-study", cfg.seed,
@@ -436,8 +416,8 @@ def cmd_compare_alt(args):
     t0 = time.perf_counter()
     cfg = _resolve_cfg(args)
     out = _outdir(args)
-    model_std = _load_model(args.model_std)
-    model_alt = _load_model(args.model_alt)
+    model_std = neural.load_model(args.model_std)
+    model_alt = neural.load_model(args.model_alt)
     if model_std.scheme != model_alt.scheme:
         raise ValueError(
             f"models trained for different schemes: {model_std.scheme!r} "
@@ -460,7 +440,7 @@ def cmd_compare_alt(args):
             pred = stepper(model, ref[:-1], h)
             row.append(float(np.max(np.linalg.norm(pred - ref[1:], axis=-1))))
         for model in (model_std, model_alt):
-            states = _fixed_step_states(stepper, model, y0, h, n)
+            states = integrate(stepper, model, y0, h, n).states
             row.append(_max_traj_error(states, ref))
         rows.append(row)
     path = out / "compare_alt.csv"

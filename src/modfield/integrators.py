@@ -133,6 +133,43 @@ def get_tableau(name):
         ) from None
 
 
+def rk_stage_loop(tab, field, y, h, checked=False):
+    """The explicit Runge-Kutta step ``y + sum_i (h b_i) k_i`` with stages
+    ``k_i = field(y + sum_{j<i} (h a_ij) k_j, h)``.
+
+    The one stage loop behind :func:`rk_step`, learned-field stepping and
+    training: ``y`` and the field values may be arrays or tape variables
+    (``_tape.Var``), and ``h`` is a scalar or one step per leading row of
+    ``y``.  Zero coefficients are skipped.  With ``checked`` the stages
+    are arrays and a non-finite one raises :class:`StageOverflowError`
+    naming the stage.
+    """
+    hc = np.asarray(h, dtype=float)
+    if hc.ndim:
+        hc = hc[..., None]
+    ks = []
+    for i in range(tab.stages):
+        yi = y
+        for j in range(i):
+            aij = tab.a[i, j]
+            if aij != 0.0:
+                yi = yi + (hc * aij) * ks[j]
+        ki = field(yi, h)
+        if checked:
+            ki = np.asarray(ki, dtype=float)
+            if not np.all(np.isfinite(ki)):
+                raise StageOverflowError(
+                    f"non-finite field value in stage {i} of {tab.name}",
+                    stage=i)
+        ks.append(ki)
+    out = y
+    for i in range(tab.stages):
+        bi = tab.b[i]
+        if bi != 0.0:
+            out = out + (hc * bi) * ks[i]
+    return out
+
+
 def rk_step(tab, field, y, h):
     """One explicit Runge-Kutta step of size ``h`` from ``y``.
 
@@ -142,28 +179,8 @@ def rk_step(tab, field, y, h):
     """
     if not tab.is_explicit:
         raise ValueError(f"tableau {tab.name!r} is not explicit")
-    y = np.asarray(y, dtype=float)
-    ks = []
-    for i in range(tab.stages):
-        yi = y
-        for j in range(i):
-            aij = tab.a[i, j]
-            if aij != 0.0:
-                yi = yi + (h * aij) * ks[j]
-        ki = np.asarray(field(yi, h), dtype=float)
-        if not np.all(np.isfinite(ki)):
-            raise StageOverflowError(
-                f"non-finite field value in stage {i} of {tab.name}", stage=i
-            )
-        ks.append(ki)
-    acc = None
-    for i in range(tab.stages):
-        bi = tab.b[i]
-        if bi != 0.0:
-            acc = bi * ks[i] if acc is None else acc + bi * ks[i]
-    if acc is None:
-        return y.copy()
-    return y + h * acc
+    return rk_stage_loop(tab, field, np.asarray(y, dtype=float), h,
+                         checked=True)
 
 
 def implicit_midpoint_step(
@@ -235,21 +252,6 @@ class Trajectory:
         return self.times.size
 
 
-def _annotate_step_error(exc, i):
-    if isinstance(exc, StageOverflowError):
-        raise StageOverflowError(
-            f"step {i}: {exc}", stage=exc.stage, step_index=i
-        ) from exc
-    if isinstance(exc, FixedPointError):
-        raise FixedPointError(
-            f"step {i}: {exc}",
-            residual=exc.residual,
-            iterations=exc.iterations,
-            step_index=i,
-        ) from exc
-    raise exc
-
-
 def integrate(stepper, field, y0, h, n_steps):
     """Fixed-step integration: ``n_steps`` steps of size ``h``.
 
@@ -266,34 +268,15 @@ def integrate(stepper, field, y0, h, n_steps):
     for i in range(n_steps):
         try:
             y = stepper(field, y, h)
-        except (StageOverflowError, FixedPointError) as e:
-            _annotate_step_error(e, i)
+        except StageOverflowError as e:
+            raise StageOverflowError(
+                f"step {i}: {e}", stage=e.stage, step_index=i) from e
+        except FixedPointError as e:
+            raise FixedPointError(
+                f"step {i}: {e}", residual=e.residual,
+                iterations=e.iterations, step_index=i) from e
         states[i + 1] = y
     return Trajectory(np.arange(n_steps + 1) * float(h), states)
-
-
-def integrate_variable(stepper, field, y0, steps):
-    """Integration with the given sequence of step sizes.
-
-    The field is evaluated at each step's own ``h``, so step-dependent
-    fields see the step actually taken.
-    """
-    steps = np.asarray(steps, dtype=float)
-    if steps.ndim != 1 or steps.size == 0:
-        raise ValueError("steps must be a non-empty 1-D array")
-    if np.any(steps <= 0):
-        raise ValueError("all steps must be positive")
-    y = np.asarray(y0, dtype=float)
-    states = np.empty((steps.size + 1, y.size))
-    states[0] = y
-    for i, h in enumerate(steps):
-        try:
-            y = stepper(field, y, h)
-        except (StageOverflowError, FixedPointError) as e:
-            _annotate_step_error(e, i)
-        states[i + 1] = y
-    times = np.concatenate([[0.0], np.cumsum(steps)])
-    return Trajectory(times, states)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ whose coefficients are jets.  Nesting to depth three is exercised by the
 modified-field terms (``d(d(df.f).f).f``).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _mathops as _m
@@ -111,66 +109,17 @@ class Jet:
         return f"Jet({self.coeffs!r})"
 
 
-@dataclass(frozen=True)
-class TaylorJet:
-    """Taylor coefficients of a curve in R^d: ``coeffs[k]`` is a d-vector."""
-
-    coeffs: np.ndarray  # shape (order + 1, d)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2:
-            raise ValueError("coeffs must have shape (order + 1, dim)")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def dim(self):
-        return self.coeffs.shape[1]
-
-
-def _as_jet(x, order):
-    """Coerce a constant component to a jet of the requested order."""
-    if isinstance(x, Jet):
-        return x
-    return Jet([x] + [0.0 * x] * order)
-
-
-def eval_components(g, comps, h=None):
-    """Evaluate a field-like object ``g`` on a tuple of components.
-
-    ``g`` either exposes ``components(comps, h)`` (vector fields, learned
-    models) or is a plain callable on component tuples.
-    """
-    if hasattr(g, "components"):
-        return tuple(g.components(tuple(comps), h))
-    return tuple(g(tuple(comps)))
-
-
-def lift(field, jet, h=None):
-    """Push a state-space curve jet through a vector field.
-
-    Returns the jet of ``t -> f(c(t))`` truncated at the input order.
-    """
-    order = jet.order
-    comps = tuple(Jet(list(jet.coeffs[:, i])) for i in range(jet.dim))
-    out = eval_components(field, comps, h)
-    rows = [_as_jet(o, order).coeffs for o in out]
-    return TaylorJet(np.array(rows, dtype=float).T)
-
-
 def dd_components(g, comps, v_comps, h=None):
     """Directional derivative at the component level (nestable form).
 
-    Components may be floats, arrays, or jets; the result is a tuple in
-    the same ring.  ``dg(y) . v`` is read off as the order-1 Taylor
-    coefficient of ``t -> g(y + t v)``.
+    ``g`` either exposes ``components(comps, h)`` (vector fields, learned
+    models) or is a plain callable on component tuples.  Components may
+    be floats, arrays, or jets; the result is a tuple in the same ring.
+    ``dg(y) . v`` is read off as the order-1 Taylor coefficient of
+    ``t -> g(y + t v)``.
     """
     seeds = tuple(Jet([c, v]) for c, v in zip(comps, v_comps))
-    out = eval_components(g, seeds, h)
+    out = g.components(seeds, h) if hasattr(g, "components") else g(seeds)
     res = []
     for o in out:
         if isinstance(o, Jet):

@@ -6,9 +6,10 @@ A one-step method of order p applied to the modified field
 
 reproduces the exact flow of ``f`` to higher order the more correction
 terms are kept.  Closed-form terms are implemented for the explicit Euler
-method (any truncation depth, by the recursion ``f_j = d f_{j-1} . f /
-(j+1)``) and for the explicit-midpoint RK2 method (two terms).  All
-derivatives are taken with nested Taylor jets.
+method (by the recursion ``f_j = d f_{j-1} . f / (j+1)``) and for the
+explicit-midpoint RK2 method (two terms).  Heun's RK2 has different terms
+from ``f^[1]`` on, and none are implemented for it.  All derivatives are
+taken with nested Taylor jets.
 
 For schemes without closed-form terms (implicit midpoint) the modified
 field is probed numerically: the step equation is solved against the
@@ -24,7 +25,14 @@ from . import jets
 from .errors import ConditioningWarning, FixedPointError, UnsupportedTruncationError
 from .integrators import canonical_scheme, get_stepper, get_tableau
 
-_TERM_SCHEMES = {"euler": 1, "rk2": 2}
+# schemes with closed-form terms: (order p, deepest truncation k).  Each
+# Euler level nests one more jet, so its cost grows exponentially in k.
+_TRUNCATIONS = {"euler": (1, 5), "rk2_midpoint": (2, 3), "rk2_heun": (2, 1)}
+
+
+def max_truncation(scheme):
+    """Deepest truncation ``k`` with closed-form terms; 0 if none exist."""
+    return _TRUNCATIONS.get(canonical_scheme(scheme), (0, 0))[1]
 
 
 def _scale(t, s):
@@ -116,21 +124,22 @@ class TruncatedModifiedField:
 
     def __init__(self, base, scheme, k):
         key = canonical_scheme(scheme)
-        family = "rk2" if key in ("rk2_midpoint", "rk2_heun") else key
-        if family not in _TERM_SCHEMES:
+        if key not in _TRUNCATIONS:
             raise UnsupportedTruncationError(
                 f"no closed-form modified-field terms for scheme {scheme!r}"
             )
-        if k < 1 or (family == "rk2" and k > 3):
+        p, k_max = _TRUNCATIONS[key]
+        if not 1 <= k <= k_max:
             raise UnsupportedTruncationError(
-                f"truncation k={k} unsupported for scheme {scheme!r}"
+                f"truncation k={k} unsupported for scheme {scheme!r} "
+                f"(closed-form terms reach k={k_max})"
             )
         self.base = base
         self.scheme = key
-        self.family = family
-        self.p = _TERM_SCHEMES[family]
+        self.family = "euler" if key == "euler" else "rk2"
+        self.p = p
         self.k = int(k)
-        self.name = f"{base.name}_{family}_k{k}"
+        self.name = f"{base.name}_{self.family}_k{k}"
 
     @property
     def dim(self):

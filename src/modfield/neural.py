@@ -8,13 +8,19 @@ The learned field has the fixed form
 with each ``f_j`` a d->d network and ``R`` a (d+1)->d network taking the
 step as an extra input.  At h = 0 the learned field reduces to the base
 field, so any consistent scheme driven by it stays consistent.  Training
-minimizes the h-weighted one-step mean squared error; gradients flow
-through the integrator stages by reverse accumulation (``_tape``).
+minimizes the h-weighted one-step mean squared error.  Its step is the
+inference step: :func:`scheme_step` runs on a copy of the model whose
+parameters are tape leaves (``_tape``), so the same forward pass and the
+same Runge-Kutta stage loop build the graph that gradients flow back
+through.  Each model keeps all its parameters in one vector ``theta``;
+the per-layer weights and biases are views into it, and gradients and
+Adam work on the whole vector.
 
 All arithmetic is float64: the loss weights h^{-(2p+2)} span many orders
 of magnitude over a step range like [0.1, 2.5].
 """
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +35,7 @@ from .errors import (
     CheckpointVersionError,
     TrainingDivergedError,
 )
-from .integrators import canonical_scheme, get_tableau
+from .integrators import canonical_scheme, get_tableau, rk_stage_loop
 from .systems import get_system
 
 CHECKPOINT_VERSION = 1
@@ -37,11 +43,17 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class MlpParams:
-    """Dense MLP: tanh on hidden layers, identity on the output layer."""
+    """Dense MLP: tanh on hidden layers, identity on the output layer.
+
+    The parameters are copied into one float64 ``vector``, layer by layer
+    with the weight before the bias; ``weights`` and ``biases`` are views
+    into it.
+    """
 
     layer_sizes: list
     weights: list  # (out, in) per layer
     biases: list  # (out,) per layer
+    vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = list(self.layer_sizes)
@@ -57,10 +69,23 @@ class MlpParams:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i}: non-finite parameters")
+        self._bind(np.concatenate(
+            [np.ravel(a) for wb in zip(self.weights, self.biases) for a in wb],
+            dtype=float))
+
+    def _bind(self, vector):
+        """Make ``vector`` the storage: weights and biases become views."""
+        self.vector = vector
+        self.weights, self.biases, k = [], [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            self.weights.append(vector[k:k + n_out * n_in].reshape(n_out, n_in))
+            k += n_out * n_in
+            self.biases.append(vector[k:k + n_out])
+            k += n_out
 
     @property
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.vector.size
 
 
 def mlp_init(layer_sizes, seed):
@@ -76,17 +101,22 @@ def mlp_init(layer_sizes, seed):
 
 
 def mlp_forward(net, x):
-    """Evaluate the network on ``x`` with shape ``(..., input)``."""
-    x = np.asarray(x, dtype=float)
+    """Evaluate the network on ``x`` with shape ``(..., input)``.
+
+    On a tape copy of the net (:func:`_on_tape`) the pass is recorded on
+    the tape and returns a ``_tape.Var``.
+    """
+    if not isinstance(x, _tape.Var):
+        x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.layer_sizes[0]:
         raise ValueError(
             f"input size {x.shape[-1]} != expected {net.layer_sizes[0]}"
         )
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        x = x @ w.T + b
+        x = _tape.affine(x, w, b)
         if i < last:
-            x = np.tanh(x)
+            x = tanh(x)
     return x
 
 
@@ -111,7 +141,12 @@ def mlp_forward_components(net, cs):
 
 @dataclass
 class ModifiedFieldModel:
-    """Base field plus learned step-dependent corrections."""
+    """Base field plus learned step-dependent corrections.
+
+    The nets' parameters move into one float64 vector ``theta``, net by
+    net (term nets in order, then the remainder), so each net's ``vector``
+    is a slice of it and its weights and biases are views into it.
+    """
 
     base: object
     scheme: str
@@ -119,6 +154,7 @@ class ModifiedFieldModel:
     n_terms: int
     term_nets: list = field(default_factory=list)
     remainder_net: MlpParams = None
+    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.base.dim
@@ -133,22 +169,40 @@ class ModifiedFieldModel:
         rn = self.remainder_net
         if rn.layer_sizes[0] != d + 1 or rn.layer_sizes[-1] != d:
             raise ValueError("remainder network must map d+1 -> d")
+        self.theta = np.concatenate([net.vector for net in self.nets])
+        k = 0
+        for net in self.nets:
+            net._bind(self.theta[k:k + net.vector.size])
+            k += net.vector.size
 
     @property
     def dim(self):
         return self.base.dim
 
+    @property
+    def nets(self):
+        """Term nets in order, then the remainder net."""
+        return list(self.term_nets) + [self.remainder_net]
+
     def eval(self, y, h):
-        """``f_app(y, h)``; ``h`` scalar or one step per leading row."""
-        y = np.asarray(y, dtype=float)
+        """``f_app(y, h)``; ``h`` scalar or one step per leading row.
+
+        ``y`` may be a ``_tape.Var``; on a tape copy of the model
+        (:func:`_on_tape`) the result is recorded on the tape.
+        """
+        on_tape = isinstance(y, _tape.Var)
+        if not on_tape:
+            y = np.asarray(y, dtype=float)
         h = np.asarray(h, dtype=float)
-        if np.any(h < 0):
+        if (h < 0).any():
             raise ValueError("step h must be >= 0")
-        out = self.base(y)
-        hcol = np.broadcast_to(h[..., None], y.shape[:-1] + (1,))
+        out = _tape_field(self.base, y) if on_tape else self.base(y)
+        hcol = h[..., None]
+        if hcol.shape[:-1] != y.shape[:-1]:
+            hcol = np.broadcast_to(hcol, y.shape[:-1] + (1,))
         for j, net in enumerate(self.term_nets, start=1):
             out = out + hcol ** (self.p + j - 1) * mlp_forward(net, y)
-        rem = mlp_forward(self.remainder_net, np.concatenate([y, hcol], axis=-1))
+        rem = mlp_forward(self.remainder_net, _tape.concat_cols(y, hcol))
         return out + hcol ** (self.n_terms + self.p - 1) * rem
 
     def __call__(self, y, h=None):
@@ -170,14 +224,10 @@ class ModifiedFieldModel:
         return tuple(o + w * r for o, r in zip(out, rc))
 
     def parameters(self):
-        """Flat list of parameter arrays: term nets in order, then remainder,
-        weights and biases interleaved per layer."""
-        out = []
-        for net in list(self.term_nets) + [self.remainder_net]:
-            for w, b in zip(net.weights, net.biases):
-                out.append(w)
-                out.append(b)
-        return out
+        """Per-layer views into ``theta``, in its order: term nets, then the
+        remainder, weight and bias interleaved per layer."""
+        return [a for net in self.nets for wb in zip(net.weights, net.biases)
+                for a in wb]
 
     def set_parameters(self, arrays):
         for p, a in zip(self.parameters(), arrays):
@@ -186,17 +236,10 @@ class ModifiedFieldModel:
             p[...] = a
 
     def copy(self):
-        nets = [
-            MlpParams(list(n.layer_sizes), [w.copy() for w in n.weights],
-                      [b.copy() for b in n.biases])
-            for n in list(self.term_nets) + [self.remainder_net]
-        ]
+        """Independent model over a copy of ``theta``."""
+        nets = [copy.copy(net) for net in self.nets]
         return ModifiedFieldModel(self.base, self.scheme, self.p, self.n_terms,
                                   nets[:-1], nets[-1])
-
-
-def model_eval(model, y, h):
-    return model.eval(y, h)
 
 
 def init_model(base, scheme, p, n_terms, hidden, seed):
@@ -216,15 +259,16 @@ MIDPOINT_UNROLL = 10  # fixed-point iterations differentiated through
 def scheme_step(model, scheme, y0, h):
     """One step of ``scheme`` driven by the learned field, batch-aware.
 
-    ``h`` may be scalar or per-record ``(B,)``.  The implicit midpoint
-    rule uses the same fixed unroll as training, so reported losses match
+    ``h`` may be scalar or per-record ``(B,)``.  This is also the training
+    step (on a tape copy of the model), so the implicit midpoint rule runs
+    the same fixed unroll here as in training and reported losses match
     the trained objective exactly.
     """
     y0 = np.asarray(y0, dtype=float)
     h = np.broadcast_to(np.asarray(h, dtype=float), y0.shape[:-1])
-    hc = h[..., None]
     key = canonical_scheme(scheme)
     if key == "midpoint":
+        hc = h[..., None]
         z = y0
         for _ in range(MIDPOINT_UNROLL):
             z = y0 + hc * model.eval(0.5 * (y0 + z), h)
@@ -232,20 +276,38 @@ def scheme_step(model, scheme, y0, h):
     tab = get_tableau(key)
     if not tab.is_explicit:
         raise ValueError(f"scheme {scheme!r} is not supported for stepping")
-    ks = []
-    for i in range(tab.stages):
-        yi = y0
-        for j in range(i):
-            aij = tab.a[i, j]
-            if aij != 0.0:
-                yi = yi + (h * aij)[..., None] * ks[j]
-        ks.append(model.eval(yi, h))
-    out = y0
-    for i in range(tab.stages):
-        bi = tab.b[i]
-        if bi != 0.0:
-            out = out + (h * bi)[..., None] * ks[i]
-    return out
+    return rk_stage_loop(tab, model.eval, y0, h)
+
+
+# -- the tape ------------------------------------------------------------
+
+
+def _tape_field(base, y):
+    """The base field at a tape variable ``y`` (B, d), through its
+    componentwise form; constant components are lifted onto the tape."""
+    cs = tuple(y.col(i) for i in range(base.dim))
+    comps = base.components(cs)
+    comps = [c if isinstance(c, _tape.Var) else cs[0] * 0.0 + c for c in comps]
+    return _tape.stack_cols(comps)
+
+
+def _on_tape(nets):
+    """Shallow copies of ``nets`` whose weights and biases are tape leaves
+    over the same arrays, and those leaves in parameter-vector order."""
+    copies, leaves = [], []
+    for net in nets:
+        net = copy.copy(net)
+        net.weights = [_tape.Var(w) for w in net.weights]
+        net.biases = [_tape.Var(b) for b in net.biases]
+        for wb in zip(net.weights, net.biases):
+            leaves.extend(wb)
+        copies.append(net)
+    return copies, leaves
+
+
+def _flat_grad(leaves):
+    """Gradients accumulated on ``leaves``, concatenated into one vector."""
+    return np.concatenate([lf.grad.ravel() for lf in leaves])
 
 
 # -- loss and gradients ------------------------------------------------
@@ -262,65 +324,6 @@ def _batch_arrays(batch):
     return y0, h, y1
 
 
-def _tape_field(base, xv):
-    cs = tuple(xv.col(i) for i in range(base.dim))
-    comps = base.components(cs)
-    comps = [c if isinstance(c, _tape.Var) else cs[0] * 0.0 + c for c in comps]
-    return _tape.stack_cols(comps)
-
-
-def _tape_mlp(layers, x):
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        x = _tape.affine(x, w, b)
-        if i < last:
-            x = x.tanh()
-    return x
-
-
-def _tape_model_eval(model, leaves, xv, h):
-    nets = list(model.term_nets) + [model.remainder_net]
-    grouped, k = [], 0
-    for net in nets:
-        n = len(net.weights)
-        grouped.append([(leaves[k + 2 * i], leaves[k + 2 * i + 1]) for i in range(n)])
-        k += 2 * n
-    out = _tape_field(model.base, xv)
-    hcol = h[:, None]
-    for j, layers in enumerate(grouped[:-1], start=1):
-        out = out + _tape_mlp(layers, xv) * (hcol ** (model.p + j - 1))
-    xin = _tape.concat_cols(xv, _tape.const(hcol))
-    rem = _tape_mlp(grouped[-1], xin)
-    return out + rem * (hcol ** (model.n_terms + model.p - 1))
-
-
-def _tape_step(model, leaves, scheme, y0, h):
-    y0v = _tape.const(y0)
-    key = canonical_scheme(scheme)
-    if key == "midpoint":
-        z = y0v
-        for _ in range(MIDPOINT_UNROLL):
-            z = y0v + _tape_model_eval(model, leaves, (y0v + z) * 0.5, h) * h[:, None]
-        return z
-    tab = get_tableau(key)
-    if not tab.is_explicit:
-        raise ValueError(f"scheme {scheme!r} is not supported for training")
-    ks = []
-    for i in range(tab.stages):
-        yi = y0v
-        for j in range(i):
-            aij = tab.a[i, j]
-            if aij != 0.0:
-                yi = yi + ks[j] * (h * aij)[:, None]
-        ks.append(_tape_model_eval(model, leaves, yi, h))
-    out = y0v
-    for i in range(tab.stages):
-        bi = tab.b[i]
-        if bi != 0.0:
-            out = out + ks[i] * (h * bi)[:, None]
-    return out
-
-
 def step_loss(model, scheme, batch):
     """Mean of ``h^{-(2p+2)} |step(y0) - y1|^2`` without gradients."""
     y0, h, y1 = _batch_arrays(batch)
@@ -332,20 +335,22 @@ def step_loss(model, scheme, batch):
 
 
 def step_loss_and_grad(model, scheme, batch):
-    """Loss and its gradient w.r.t. every parameter array of the model.
+    """Loss and its gradient with respect to ``model.theta``.
 
-    Reverse accumulation through the stage computations of the scheme
-    (explicit Runge-Kutta, or the fixed midpoint unroll).  Returns
-    ``(loss, grads)`` with ``grads`` aligned with ``model.parameters()``.
-    Raises :class:`TrainingDivergedError` naming the first offending
-    record when the loss is not finite.
+    Runs :func:`scheme_step` on a copy of the model whose parameters are
+    tape leaves and accumulates in reverse through the stage computations
+    of the scheme (explicit Runge-Kutta, or the fixed midpoint unroll).
+    Returns ``(loss, grad)`` with ``grad`` one vector aligned with
+    ``model.theta``.  Raises :class:`TrainingDivergedError` naming the
+    first offending record when the loss is not finite.
     """
     y0, h, y1 = _batch_arrays(batch)
     if y0.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    leaves = [_tape.Var(p) for p in model.parameters()]
-    pred = _tape_step(model, leaves, scheme, y0, h)
-    resid = pred - np.asarray(y1)
+    nets, leaves = _on_tape(model.nets)
+    taped = copy.copy(model)
+    taped.term_nets, taped.remainder_net = nets[:-1], nets[-1]
+    resid = scheme_step(taped, scheme, y0, h) - y1
     w = h ** (-(2 * model.p + 2))
     loss = _tape.weighted_sumsq(resid, w) * (1.0 / y0.shape[0])
     if not np.isfinite(loss.value):
@@ -356,9 +361,7 @@ def step_loss_and_grad(model, scheme, batch):
             f"non-finite training loss at record {record}", record=record
         )
     _tape.backward(loss)
-    grads = [lf.grad if lf.grad is not None else np.zeros_like(lf.value)
-             for lf in leaves]
-    return float(loss.value), grads
+    return float(loss.value), _flat_grad(leaves)
 
 
 # -- Adam ---------------------------------------------------------------
@@ -406,12 +409,13 @@ def adam_update(params, grads, state):
 # -- checkpoints ---------------------------------------------------------
 
 
-def _fmt(x):
+def format_exact(x):
+    """A float as text that reads back bit for bit (17 significant digits)."""
     return format(float(x), ".17g")
 
 
 def _json_vector(v):
-    return "[" + ", ".join(_fmt(x) for x in v) + "]"
+    return "[" + ", ".join(format_exact(x) for x in v) + "]"
 
 
 def _json_matrix(m):
@@ -421,7 +425,7 @@ def _json_matrix(m):
 def save_model(model, path):
     """Write a self-describing JSON checkpoint (17 significant digits)."""
     parts = []
-    for net in list(model.term_nets) + [model.remainder_net]:
+    for net in model.nets:
         ws = ", ".join(_json_matrix(w) for w in net.weights)
         bs = ", ".join(_json_vector(b) for b in net.biases)
         sizes = json.dumps([int(s) for s in net.layer_sizes])

@@ -175,37 +175,6 @@ class DomainBox:
         return self.lower.size
 
 
-def sample_domain(box, count, seed):
-    """Draw ``count`` points uniformly from ``box`` (shell by rejection).
-
-    Sampling uses a single generator stream seeded with ``seed``, so the
-    result is deterministic and independent of any parallelism downstream.
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    d = box.dim
-    if box.shell is None:
-        return rng.uniform(box.lower, box.upper, size=(count, d))
-    r_min, r_max = box.shell
-    out = np.empty((count, d))
-    got = 0
-    rounds = 0
-    while got < count:
-        draw = rng.uniform(box.lower, box.upper, size=(max(count - got, 256), d))
-        r = np.linalg.norm(draw, axis=1)
-        keep = draw[(r >= r_min) & (r <= r_max)]
-        take = min(len(keep), count - got)
-        out[got : got + take] = keep[:take]
-        got += take
-        rounds += 1
-        if rounds > 10000:
-            raise RuntimeError(
-                "shell acceptance rate too low; widen the shell or the box"
-            )
-    return out
-
-
 def reference_flow(field, y0, t, tol=1e-12):
     """Exact flow ``y(t)`` from ``y0``, to adaptive tolerance ``tol``.
 

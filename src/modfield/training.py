@@ -14,7 +14,6 @@ independently (parallelizable, one job per network).
 """
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import neural
+from . import _tape, neural
 from .errors import ConditioningError, IntegrationFailureError, TrainingDivergedError
 from .integrators import adaptive_flow_batch, box_grid, canonical_scheme
 from .systems import DomainBox, get_system
@@ -114,10 +113,6 @@ class TrainConfig:
         return DomainBox(np.asarray(self.omega_lower, dtype=float),
                          np.asarray(self.omega_upper, dtype=float),
                          shell=self.omega_shell)
-
-
-def _field_type(f):
-    return f.type if isinstance(f.type, type) else None
 
 
 def format_config(cfg):
@@ -297,21 +292,17 @@ def generate_dataset(cfg, workers=1):
     return Dataset(y0, h, y1, cfg.system, cfg.scheme, cfg.tol, resampled)
 
 
-def _f17(x):
-    return format(float(x), ".17g")
-
-
 def save_dataset(ds, path):
     d = ds.dim
     cols = [f"y0_{i + 1}" for i in range(d)] + ["h"] + \
         [f"y1_{i + 1}" for i in range(d)]
     with open(path, "w") as fh:
         fh.write("# d,system,scheme,tol\n")
-        fh.write(f"# {d},{ds.system},{ds.scheme},{_f17(ds.tol)}\n")
+        fh.write(f"# {d},{ds.system},{ds.scheme},{neural.format_exact(ds.tol)}\n")
         fh.write(",".join(cols) + "\n")
         for i in range(len(ds)):
             row = [*ds.y0[i], ds.h[i], *ds.y1[i]]
-            fh.write(",".join(_f17(v) for v in row) + "\n")
+            fh.write(",".join(neural.format_exact(v) for v in row) + "\n")
 
 
 def load_dataset(path):
@@ -382,7 +373,7 @@ def train(model, scheme, train_set, test_set, cfg):
         initial_test=_full_loss(model, scheme, test_set))
     if cfg.epochs == 0:
         return model, report
-    params = model.parameters()
+    params = [model.theta]
     state = neural.AdamState.for_params(params, cfg.learning_rate,
                                         cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 977])
@@ -393,12 +384,12 @@ def train(model, scheme, train_set, test_set, cfg):
         for bi, s in enumerate(range(0, n, cfg.batch_size)):
             batch = train_set.subset(perm[s:s + cfg.batch_size])
             try:
-                _loss, grads = neural.step_loss_and_grad(model, scheme, batch)
+                _loss, grad = neural.step_loss_and_grad(model, scheme, batch)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, batch {bi}: {exc}",
                     epoch=epoch, batch=bi, record=exc.record) from exc
-            neural.adam_update(params, grads, state)
+            neural.adam_update(params, [grad], state)
         lt = _full_loss(model, scheme, train_set)
         lv = _full_loss(model, scheme, test_set)
         report.train_losses.append(lt)
@@ -490,26 +481,20 @@ def alt_extract_targets_batch(field_, y0, steps, n_terms, p,
 def _regress_job(args):
     """Train one network against fixed targets; pure function of args."""
     (sizes, weights, biases, X, T, lr, wd, batch_size, epochs, seed) = args
-    net = neural.MlpParams(list(sizes), [w.copy() for w in weights],
-                           [b.copy() for b in biases])
-    params = []
-    for w, b in zip(net.weights, net.biases):
-        params.extend((w, b))
+    net = neural.MlpParams(list(sizes), weights, biases)  # owns a copy
+    params = [net.vector]
     state = neural.AdamState.for_params(params, lr, wd)
     rng = np.random.default_rng(seed)
     n = len(X)
     losses = []
-    from . import _tape
     ones = None
     for _epoch in range(epochs):
         perm = rng.permutation(n)
         for s in range(0, n, batch_size):
             idx = perm[s:s + batch_size]
             xb, tb = X[idx], T[idx]
-            leaves = [_tape.Var(q) for q in params]
-            layers = [(leaves[2 * i], leaves[2 * i + 1])
-                      for i in range(len(net.weights))]
-            pred = neural._tape_mlp(layers, _tape.const(xb))
+            (on_tape,), leaves = neural._on_tape([net])
+            pred = neural.mlp_forward(on_tape, xb)
             if ones is None or len(ones) != len(idx):
                 ones = np.ones(len(idx))
             loss = _tape.weighted_sumsq(pred - tb, ones) * (1.0 / len(idx))
@@ -517,12 +502,10 @@ def _regress_job(args):
                 raise TrainingDivergedError(
                     "regression loss is not finite", record=int(idx[0]))
             _tape.backward(loss)
-            grads = [lf.grad if lf.grad is not None else np.zeros_like(lf.value)
-                     for lf in leaves]
-            neural.adam_update(params, grads, state)
+            neural.adam_update(params, [neural._flat_grad(leaves)], state)
         err = neural.mlp_forward(net, X) - T
         losses.append(float(np.mean(np.sum(err**2, axis=-1))))
-    return net.weights, net.biases, losses
+    return net.vector, losses
 
 
 def alt_train(nets, term_data, remainder_data, cfg, workers=1):
@@ -553,11 +536,8 @@ def alt_train(nets, term_data, remainder_data, cfg, workers=1):
     else:
         results = [_regress_job(j) for j in jobs]
     histories = []
-    for net, (ws, bs, losses) in zip(nets, results):
-        for w, new in zip(net.weights, ws):
-            w[...] = new
-        for b, new in zip(net.biases, bs):
-            b[...] = new
+    for net, (vector, losses) in zip(nets, results):
+        net.vector[...] = vector
         histories.append(losses)
     return nets, histories
 

@@ -195,6 +195,19 @@ def test_efficiency(tmp_path, trained):
                  "--out", str(out), "--repeats", "2"]) == 2
 
 
+def test_efficiency_skips_truncations_heun_lacks(tmp_path, cfg_file):
+    path = tmp_path / "heun.json"
+    save_model(init_model(get_system("pendulum"), "rk2_heun", 2, 2, (6,), 0),
+               path)
+    out = tmp_path / "eff"
+    assert main(["efficiency", "--config", cfg_file, "--model", str(path),
+                 "--out", str(out), "--T", "1.0", "--h-list", "0.25",
+                 "--tol-list", "1e-6", "--k-list", "2,3",
+                 "--repeats", "3"]) == 0
+    _, _, rows = read_csv(out / "efficiency.csv")
+    assert [r[0] for r in rows] == ["scheme_f", "scheme_fapp", "dopri5"]
+
+
 def test_invariant_drift(tmp_path, trained):
     cfg, model = trained
     out = tmp_path / "drift"
@@ -267,6 +280,16 @@ def test_unknown_preset_is_a_usage_error(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+def test_bad_worker_count_is_a_usage_error(tmp_path, cfg_file, capsys,
+                                           monkeypatch, value):
+    monkeypatch.setenv("MODFIELD_WORKERS", value)
+    rc = main(["generate", "--config", cfg_file, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "MODFIELD_WORKERS" in err and repr(value) in err
 
 
 def test_training_divergence_is_a_numerical_failure(tmp_path, capsys):

@@ -19,7 +19,6 @@ from modfield.integrators import (
     get_stepper,
     get_tableau,
     integrate,
-    integrate_variable,
     order_estimate,
     rk_step,
     scheme_names,
@@ -131,14 +130,6 @@ def test_integrate_shapes(pendulum):
     assert len(traj) == 26
     assert np.allclose(traj.times, 0.1 * np.arange(26))
     assert np.array_equal(traj.states[0], [1.0, 0.0])
-
-
-def test_integrate_variable_matches_fixed(pendulum):
-    y0 = np.array([1.0, 0.0])
-    fixed = integrate(get_stepper("rk2"), pendulum, y0, 0.1, 10)
-    var = integrate_variable(get_stepper("rk2"), pendulum, y0,
-                             np.full(10, 0.1))
-    assert np.array_equal(fixed.states, var.states)
 
 
 def test_integrate_annotates_failing_step():

@@ -5,10 +5,8 @@ import pytest
 
 from modfield.jets import (
     Jet,
-    TaylorJet,
     dd_components,
     directional_derivative,
-    lift,
 )
 from modfield.systems import get_system
 
@@ -84,13 +82,6 @@ def test_array_valued_jets():
     assert np.allclose(j.coeff(1), np.cos(x))
 
 
-def test_taylor_jet_validation():
-    with pytest.raises(ValueError):
-        TaylorJet(np.zeros(3))
-    tj = TaylorJet(np.zeros((3, 2)))
-    assert tj.order == 2 and tj.dim == 2
-
-
 def test_directional_derivative_matches_fd(rng):
     for name in ("pendulum", "rigid_body"):
         field = get_system(name)
@@ -127,14 +118,3 @@ def test_nested_directional_derivative(pendulum):
         -y1 * math.cos(y2),
     ])
     assert np.max(np.abs(got - expect)) < 1e-13
-
-
-def test_lift_first_coefficient(pendulum):
-    # curve c(t) = y + t f(y); lifted jet must open with (f(y), df.f)
-    y = np.array([0.4, -1.1])
-    f0 = pendulum(y)
-    jet = TaylorJet(np.stack([y, f0]))
-    lifted = lift(pendulum, jet)
-    assert np.allclose(lifted.coeffs[0], f0)
-    dff = directional_derivative(pendulum, y[None, :], f0[None, :])[0]
-    assert np.allclose(lifted.coeffs[1], dff)

@@ -10,6 +10,7 @@ from modfield.integrators import get_stepper, integrate, order_estimate
 from modfield.modified_field import (
     euler_term,
     extract_first_correction,
+    max_truncation,
     midpoint_field_probe,
     midpoint_odd_coefficients,
     rk2_term,
@@ -88,6 +89,20 @@ def test_truncation_unsupported(pendulum):
         truncated_field(pendulum, "midpoint", 2)
     with pytest.raises(UnsupportedTruncationError):
         truncated_field(pendulum, "euler", 0)
+
+
+def test_heun_has_no_closed_form_terms(pendulum, rng):
+    # the implemented RK2 terms are explicit midpoint's; Heun's differ, so
+    # only the base field (k = 1) is offered for it
+    assert max_truncation("rk2_heun") == 1
+    assert max_truncation("rk2") == max_truncation("rk2_midpoint") == 3
+    assert max_truncation("euler") == 5 and max_truncation("midpoint") == 0
+    for k in (2, 3):
+        with pytest.raises(UnsupportedTruncationError, match="rk2_heun"):
+            truncated_field(pendulum, "rk2_heun", k)
+    y = rng.uniform(-2, 2, size=(4, 2))
+    assert np.array_equal(truncated_field(pendulum, "rk2_heun", 1)(y, 0.3),
+                          pendulum(y))
 
 
 def test_truncated_field_raises_order(pendulum):

@@ -9,6 +9,7 @@ from modfield.errors import (
     CheckpointVersionError,
     TrainingDivergedError,
 )
+from modfield.integrators import get_tableau, rk_step
 from modfield.neural import (
     AdamState,
     MIDPOINT_UNROLL,
@@ -113,12 +114,36 @@ def test_model_parameters_round_trip(pendulum):
         assert np.array_equal(a, b)
 
 
+def test_parameters_are_views_of_theta(pendulum):
+    model = tiny_model(pendulum, n_terms=3)
+    params = model.parameters()
+    assert model.theta.dtype == np.float64 and model.theta.ndim == 1
+    assert model.theta.size == sum(q.size for q in params)
+    assert np.array_equal(np.concatenate([q.ravel() for q in params]),
+                          model.theta)
+    model.theta[:] = 0.0
+    assert all(np.count_nonzero(q) == 0 for q in params)
+
+
 def test_scheme_step_euler_formula(pendulum, rng):
     model = tiny_model(pendulum)
     y = rng.uniform(-1, 1, size=(6, 2))
     h = 0.21
     assert np.allclose(scheme_step(model, "euler", y, h),
                        y + h * model(y, h), atol=1e-15)
+
+
+@pytest.mark.parametrize("scheme, p, atol", [
+    ("euler", 1, 0.0), ("rk2_midpoint", 2, 0.0), ("rk2_heun", 2, 1e-15)])
+def test_scheme_step_matches_rk_step(pendulum, rng, scheme, p, atol):
+    model = tiny_model(pendulum, scheme, p=p, n_terms=2)
+    y = rng.uniform(-1, 1, size=(6, 2))
+    got = scheme_step(model, scheme, y, 0.3)
+    want = rk_step(get_tableau(scheme), model, y, 0.3)
+    if atol == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0, atol=atol)
 
 
 def test_scheme_step_midpoint_unroll_converges(pendulum):
@@ -176,24 +201,25 @@ def test_step_loss_permutation_invariant(pendulum):
 @pytest.mark.parametrize("scheme", ["euler", "rk2", "midpoint"])
 def test_gradients_match_finite_differences(pendulum, scheme):
     p = 2 if scheme in ("rk2", "midpoint") else 1
-    model = init_model(pendulum, scheme, p, 1, (8, 8), seed=11)
-    batch = _synthetic_batch(pendulum, model, 16, seed=13)
-    loss, grads = step_loss_and_grad(model, scheme, batch)
-    assert loss == pytest.approx(step_loss(model, scheme, batch), rel=1e-12)
-    flat = model.parameters()
-    rng = np.random.default_rng(17)
-    eps = 1e-6
-    for _ in range(12):
-        ai = rng.integers(len(flat))
-        idx = tuple(rng.integers(s) for s in flat[ai].shape)
-        keep = flat[ai][idx]
-        flat[ai][idx] = keep + eps
-        up = step_loss(model, scheme, batch)
-        flat[ai][idx] = keep - eps
-        dn = step_loss(model, scheme, batch)
-        flat[ai][idx] = keep
-        fd = (up - dn) / (2 * eps)
-        assert grads[ai][idx] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+    for n_terms in (1, 3):
+        model = init_model(pendulum, scheme, p, n_terms, (8, 8), seed=11)
+        batch = _synthetic_batch(pendulum, model, 16, seed=13)
+        loss, grad = step_loss_and_grad(model, scheme, batch)
+        assert loss == pytest.approx(step_loss(model, scheme, batch),
+                                     rel=1e-12)
+        assert grad.shape == model.theta.shape
+        rng = np.random.default_rng(17)
+        eps = 1e-6
+        # entries of theta itself: the layer views the forward pass reads
+        for i in rng.integers(model.theta.size, size=12):
+            keep = model.theta[i]
+            model.theta[i] = keep + eps
+            up = step_loss(model, scheme, batch)
+            model.theta[i] = keep - eps
+            dn = step_loss(model, scheme, batch)
+            model.theta[i] = keep
+            fd = (up - dn) / (2 * eps)
+            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
 def test_gradient_divergence_names_record(pendulum):

@@ -11,9 +11,9 @@ from modfield.systems import (
     get_system,
     reference_flow,
     reference_trajectory,
-    sample_domain,
     system_names,
 )
+from modfield.training import TrainConfig, generate_dataset
 
 
 def blowup_field():
@@ -82,19 +82,33 @@ def test_box_validation():
         DomainBox(lower=[-1.0, -1.0], upper=[1.0, 1.0], shell=(10.0, 11.0))
 
 
+def sampled_states(**kw):
+    """Start states of a dataset: the domain sampler that training uses.
+
+    Short steps at a loose tolerance keep the exact flows cheap; they do
+    not touch the per-record draws of the states.
+    """
+    cfg = TrainConfig(h_min=0.01, h_max=0.02, tol=1e-6, **kw)
+    return cfg.domain(), generate_dataset(cfg).y0
+
+
 def test_sample_domain_box_and_determinism():
-    box = DomainBox(lower=[-2.0, 0.0], upper=[2.0, 1.0])
-    a = sample_domain(box, 500, seed=42)
-    b = sample_domain(box, 500, seed=42)
+    box, a = sampled_states(omega_lower=(-2.0, 0.0), omega_upper=(2.0, 1.0),
+                            n_records=500, seed=42)
+    _, b = sampled_states(omega_lower=(-2.0, 0.0), omega_upper=(2.0, 1.0),
+                          n_records=500, seed=42)
     assert np.array_equal(a, b)
     assert a.shape == (500, 2)
     assert np.all(a >= box.lower) and np.all(a <= box.upper)
-    assert sample_domain(box, 0, seed=1).shape == (0, 2)
+    assert sampled_states(n_records=0, seed=1)[1].shape == (0, 2)
 
 
 def test_sample_domain_shell():
-    box = DomainBox(lower=[-2.0] * 3, upper=[2.0] * 3, shell=(0.98, 1.02))
-    pts = sample_domain(box, 300, seed=7)
+    box, pts = sampled_states(
+        system="rigid_body", omega_lower=(-2.0,) * 3, omega_upper=(2.0,) * 3,
+        omega_shell=(0.98, 1.02), n_records=300, seed=7)
+    assert pts.shape == (300, 3)
+    assert np.all(pts >= box.lower) and np.all(pts <= box.upper)
     r = np.linalg.norm(pts, axis=1)
     assert np.all((r >= 0.98) & (r <= 1.02))
 
@@ -102,8 +116,8 @@ def test_sample_domain_shell():
 def test_sample_domain_uniform_marginals():
     # componentwise Kolmogorov-Smirnov against uniform, 1% critical value
     K = 10_000
-    box = DomainBox(lower=[-2.0, -2.0], upper=[2.0, 2.0])
-    pts = sample_domain(box, K, seed=11)
+    box, pts = sampled_states(omega_lower=(-2.0, -2.0),
+                              omega_upper=(2.0, 2.0), n_records=K, seed=11)
     crit = 1.628 / math.sqrt(K)
     for j in range(2):
         u = np.sort((pts[:, j] - box.lower[j]) / (box.upper[j] - box.lower[j]))
