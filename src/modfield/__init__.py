@@ -6,10 +6,10 @@ A numerical method of order p applied to a perturbed field
 
 can follow the exact flow of ``f`` far more accurately than the method
 alone.  This package provides the analytic correction terms (Taylor-jet
-based) for Euler and explicit-midpoint RK2, a numerical probe for the
-implicit midpoint rule, neural-network approximations of the corrections
-trained through the integrator step, rigorous error diagnostics, and a
-benchmark CLI.
+based, derived by order matching for any Runge-Kutta tableau), numerical
+extraction oracles for them, neural-network approximations of the
+corrections trained through the integrator step, rigorous error
+diagnostics, and a benchmark CLI.
 """
 
 from .errors import (ConditioningError, ConditioningWarning,
@@ -23,10 +23,9 @@ from .integrators import (ButcherTableau, ErrorBoundInputs, Trajectory,
                           order_estimate, rk_step, scheme_names,
                           theorem_bound)
 from .jets import Jet, directional_derivative
-from .modified_field import (TruncatedModifiedField, euler_term,
+from .modified_field import (TruncatedModifiedField,
                              extract_first_correction, midpoint_field_probe,
-                             midpoint_odd_coefficients, rk2_term,
-                             truncated_field)
+                             midpoint_odd_coefficients, truncated_field)
 from .neural import (AdamState, MlpParams, ModifiedFieldModel, adam_update,
                      init_model, load_model, mlp_forward, mlp_init,
                      save_model, scheme_step, step_loss, step_loss_and_grad)

@@ -205,15 +205,7 @@ def cmd_field_error_map(args):
     out = _outdir(args)
     model = neural.load_model(args.model)
     base = model.base
-    scheme = model.scheme
-
-    if scheme == "midpoint":
-        # no closed-form truncation: probe the modified field numerically
-        def ref_field(X, h):
-            return modified_field.midpoint_field_probe(base, X, h)
-    else:
-        ref_field = modified_field.truncated_field(base, scheme, args.k)
-
+    ref_field = modified_field.truncated_field(base, model.scheme, args.k)
     box = cfg.domain()
     X = box_grid(box, args.grid_n)
     h = args.h
@@ -385,7 +377,9 @@ def cmd_param_study(args):
     sizes = _ints(args.data_sizes) if args.data_sizes else [cfg.n_records]
     box = cfg.domain()
     hs = np.geomspace(cfg.h_min, cfg.h_max, 15)
-    trunc = modified_field.truncated_field(base, cfg.scheme, 4)
+    # the reference keeps four terms, or as many as the scheme has
+    trunc = modified_field.truncated_field(
+        base, cfg.scheme, min(4, modified_field.max_truncation(cfg.scheme)))
     rows = []
     for K in sizes:
         for depth in depths:

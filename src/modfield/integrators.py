@@ -10,6 +10,7 @@ error bound for learned fields, and a grid-based Lipschitz estimator.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class ButcherTableau:
     def stages(self):
         return self.b.size
 
-    @property
+    @cached_property
     def is_explicit(self):
         return bool(np.all(np.triu(self.a) == 0.0))
 

@@ -8,8 +8,10 @@ Coefficients live in any commutative ring with the required elementary
 functions: floats, numpy arrays (vectorised jets), or other jets.  The
 latter is what makes nested directional derivatives work: an inner
 derivative built while an outer one is in progress simply produces jets
-whose coefficients are jets.  Nesting to depth three is exercised by the
-modified-field terms (``d(d(df.f).f).f``).
+whose coefficients are jets.  A jet does not know its variable, and
+``Jet * Jet`` convolves any two jets: a jet of an enclosing level enters
+an inner one only as a coefficient.  The modified-field terms nest to
+depth four (``phi_5``) under jets in the step size ``h``.
 """
 
 import numpy as np
@@ -135,13 +137,18 @@ def directional_derivative(g, y, v, h=None):
     ``y`` and ``v`` are arrays shaped ``(..., d)``; leading axes are
     vectorised through array-valued jet coefficients.
     """
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if y.shape != v.shape:
+    if np.shape(y) != np.shape(v):
         raise ValueError("y and v must have identical shapes")
-    d = y.shape[-1]
-    comps = tuple(y[..., i] for i in range(d))
-    vcomps = tuple(v[..., i] for i in range(d))
-    out = dd_components(g, comps, vcomps, h)
-    out = np.broadcast_arrays(*(np.asarray(o, dtype=float) for o in out))
+    return stack(dd_components(g, split(y), split(v), h))
+
+
+def split(y):
+    """The components ``y[..., i]`` of states shaped ``(..., d)``."""
+    y = np.asarray(y, dtype=float)
+    return tuple(y[..., i] for i in range(y.shape[-1]))
+
+
+def stack(comps):
+    """States shaped ``(..., d)`` from ``d`` broadcastable components."""
+    out = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in comps))
     return np.stack(out, axis=-1)

@@ -2,19 +2,20 @@
 
 A one-step method of order p applied to the modified field
 
-    f_h(y) = f(y) + h^p (f1(y) + h f2(y) + ...)
+    f_h(y) = f(y) + h^p (f^[1](y) + h f^[2](y) + ...)
 
 reproduces the exact flow of ``f`` to higher order the more correction
-terms are kept.  Closed-form terms are implemented for the explicit Euler
-method (by the recursion ``f_j = d f_{j-1} . f / (j+1)``) and for the
-explicit-midpoint RK2 method (two terms).  Heun's RK2 has different terms
-from ``f^[1]`` on, and none are implemented for it.  All derivatives are
-taken with nested Taylor jets.
+terms are kept.  The terms come from one order-matching routine for every
+Runge-Kutta tableau, explicit or implicit (Hairer-Lubich-Wanner,
+*Geometric Numerical Integration*, ch. IX): ``f^[j]`` is the ``h^{p+j}``
+Taylor coefficient of the exact flow minus that of the scheme's step on
+the field truncated after ``f^[j-1]``.  The flow coefficients follow the
+Lie recursion ``phi_m = d phi_{m-1} . f / m``; the step is run with ``h``
+as a power series.  All derivatives are taken with nested Taylor jets.
 
-For schemes without closed-form terms (implicit midpoint) the modified
-field is probed numerically: the step equation is solved against the
-exact flow so the probed values carry no coupling from higher-order
-defect terms.
+The numerical oracles (least-squares extraction of ``f^[1]`` and the
+implicit-midpoint field probe) solve against the exact flow and serve as
+independent references for the closed-form terms.
 """
 
 import warnings
@@ -23,96 +24,100 @@ import numpy as np
 
 from . import jets
 from .errors import ConditioningWarning, FixedPointError, UnsupportedTruncationError
-from .integrators import canonical_scheme, get_stepper, get_tableau
+from .integrators import get_stepper, get_tableau
 
-# schemes with closed-form terms: (order p, deepest truncation k).  Each
-# Euler level nests one more jet, so its cost grows exponentially in k.
-_TRUNCATIONS = {"euler": (1, 5), "rk2_midpoint": (2, 3), "rk2_heun": (2, 1)}
+# Deepest flow Taylor order the terms may use: f^[k-1] needs phi_{p+k-1},
+# and each order nests one more jet, so the cost grows exponentially.
+MAX_TAYLOR_ORDER = 5
 
 
 def max_truncation(scheme):
-    """Deepest truncation ``k`` with closed-form terms; 0 if none exist."""
-    return _TRUNCATIONS.get(canonical_scheme(scheme), (0, 0))[1]
+    """Deepest truncation ``k``, where ``p + k - 1 = MAX_TAYLOR_ORDER``."""
+    return MAX_TAYLOR_ORDER + 1 - get_tableau(scheme).order
 
 
-def _scale(t, s):
-    return tuple(s * x for x in t)
+def _flow_coeff(field, cs, f, m):
+    """Taylor coefficient ``phi_m`` of the exact flow of ``field`` at
+    ``cs``, where the field's value is ``f = phi_1``."""
+    if m == 1:
+        return f
+    d = jets.dd_components(
+        lambda z: _flow_coeff(field, z, field.components(z), m - 1), cs, f)
+    return tuple((1.0 / m) * x for x in d)
 
 
-def _add(*tuples):
-    out = tuples[0]
-    for t in tuples[1:]:
-        out = tuple(a + b for a, b in zip(out, t))
-    return out
+def _series(v, m):
+    """A field or term value at an ``h``-series point as a series of order
+    ``m``: it is one already, or a plain number or array where it does
+    not depend on the point."""
+    return v if isinstance(v, jets.Jet) else jets.Jet([v] + [0.0] * m)
 
 
-def _euler_comps(field, j, cs):
-    f = field.components(cs)
-    if j == 1:
-        return _scale(jets.dd_components(field, cs, f), 0.5)
-
-    def prev(z):
-        return _euler_comps(field, j - 1, z)
-
-    return _scale(jets.dd_components(prev, cs, f), 1.0 / (j + 1))
+def _at_point(f, terms, p, top):
+    """The field ``f + sum_n h^{p+n} f^[n+1]`` at ``cs`` itself, where its
+    values are known, as ``h``-series of order ``top``."""
+    return tuple(jets.Jet(([fc] + [0.0] * (p - 1) + [t[c] for t in terms]
+                           + [0.0] * top)[:top + 1])
+                 for c, fc in enumerate(f))
 
 
-def _rk2_comps(field, j, cs):
-    def F(z):
-        return field.components(tuple(z))
-
-    def G1(z):  # (df.f)(z)
-        return jets.dd_components(F, z, F(z))
-
-    f = F(cs)
-    if j == 1:
-        t1 = jets.dd_components(G1, cs, f)  # d(df.f).f
-        t2 = jets.dd_components(F, cs, jets.dd_components(F, cs, f))  # df.df.f
-        return _add(_scale(t1, 1.0 / 24.0), _scale(t2, 1.0 / 8.0))
-
-    def G2(z):  # (d(df.f).f)(z)
-        return jets.dd_components(G1, z, F(z))
-
-    def f1map(z):
-        return _rk2_comps(field, 1, z)
-
-    t1 = jets.dd_components(G2, cs, f)  # depth-3 nesting
-    f1 = f1map(cs)
-    t2 = jets.dd_components(F, cs, f1)  # df.f1
-    t3 = jets.dd_components(f1map, cs, f)  # d f1 . f
-    return _add(_scale(t1, 1.0 / 24.0), _scale(t2, -0.5), _scale(t3, -0.5))
+def _on_series(field, tab, ys, terms, top):
+    """The field ``f + sum_n h^{p+n} f^[n+1]`` at the ``h``-series point
+    ``ys``, to order ``top``; the terms are derived again on the series."""
+    ks = [_series(v, top) for v in field.components(ys)]
+    # f^[n+1] enters at h^{p+n}, so it is needed to order top - p - n only
+    lo = top - tab.order
+    n_used = min(len(terms), lo + 1)
+    if n_used > 0:
+        low = tuple(jets.Jet(y.coeffs[:lo + 1]) for y in ys)
+        for e, t in enumerate(_terms(field, tab, low, field.components(low),
+                                     n_used), start=tab.order):
+            # times h^e: a shift of the coefficients, not a jet product
+            ks = [k + jets.Jet([0.0] * e + _series(tc, lo).coeffs[:top + 1 - e])
+                  for k, tc in zip(ks, t)]
+    return tuple(ks)
 
 
-def _stack(y, comps):
-    out = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in comps))
-    return np.stack(out, axis=-1)
+def _step_coeff(field, tab, cs, f, terms, m):
+    """The ``h^m`` coefficient of one step of ``tab`` from ``cs`` on the
+    field ``f + sum_n h^{p+n} f^[n+1]`` with the given ``terms``.
 
-
-def _split(y):
-    y = np.asarray(y, dtype=float)
-    return y, tuple(y[..., i] for i in range(y.shape[-1]))
-
-
-def euler_term(base, j, y):
-    """Correction term ``f^[j]`` of the Euler modified field at ``y``.
-
-    ``f^[1] = df.f / 2`` and ``f^[j] = d f^[j-1] . f / (j+1)``.  Accepts
-    batches ``(..., d)``.
+    The stages ``k_i`` are ``h``-series of order ``m - 1``; a stage that
+    no other stage feeds sits at ``cs``.  Explicit tableaus take one sweep
+    in stage order.  Implicit ones iterate from the stages at ``cs``: the
+    sweep to order ``o`` needs the previous sweep to order ``o - 1`` only,
+    so the orders run up to ``m - 1`` one per sweep.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    y, cs = _split(y)
-    return _stack(y, _euler_comps(base, int(j), cs))
+    ks = [None] * tab.stages
+    for top in [m - 1] if tab.is_explicit else range(m):
+        for i, row in enumerate(tab.a):
+            feed = [(a, k) for a, k in zip(row, ks)
+                    if a != 0.0 and k is not None]
+            if not feed:
+                ks[i] = _at_point(f, terms, tab.order, top)
+                continue
+            # y + h sum_j a_ij k_j: the point's values only ever lead the
+            # series, they never meet it in a jet product
+            ys = tuple(jets.Jet([y] + sum(a * k[c] for a, k in feed)
+                                .coeffs[:top])
+                       for c, y in enumerate(cs))
+            ks[i] = _on_series(field, tab, ys, terms, top)
+    # the step is y + h sum_i b_i k_i(h)
+    return tuple(sum(b * k[c].coeffs[m - 1] for b, k in zip(tab.b, ks)
+                     if b != 0.0)
+                 for c in range(len(cs)))
 
 
-def rk2_term(base, j, y):
-    """Correction term ``f^[j]`` (j in {1, 2}) of the RK2 modified field."""
-    if j not in (1, 2):
-        raise UnsupportedTruncationError(
-            f"RK2 correction terms are available for j in {{1, 2}}, got {j}"
-        )
-    y, cs = _split(y)
-    return _stack(y, _rk2_comps(base, int(j), cs))
+def _terms(field, tab, cs, f, n):
+    """Correction terms ``f^[1..n]`` of ``tab``'s modified field at ``cs``,
+    where the field's value is ``f``."""
+    terms = []
+    for j in range(1, n + 1):
+        m = tab.order + j
+        flow = _flow_coeff(field, cs, f, m)
+        step = _step_coeff(field, tab, cs, f, terms, m)
+        terms.append(tuple(a - b for a, b in zip(flow, step)))
+    return terms
 
 
 class TruncatedModifiedField:
@@ -120,58 +125,42 @@ class TruncatedModifiedField:
 
     Behaves like a vector field with a step argument: ``field(y, h)``
     with scalar or per-record ``h``.  ``k = 1`` reduces to the base field.
+    Any Runge-Kutta scheme is accepted up to ``k = max_truncation(scheme)``.
     """
 
     def __init__(self, base, scheme, k):
-        key = canonical_scheme(scheme)
-        if key not in _TRUNCATIONS:
-            raise UnsupportedTruncationError(
-                f"no closed-form modified-field terms for scheme {scheme!r}"
-            )
-        p, k_max = _TRUNCATIONS[key]
+        tab = get_tableau(scheme)
+        k_max = max_truncation(scheme)
         if not 1 <= k <= k_max:
             raise UnsupportedTruncationError(
                 f"truncation k={k} unsupported for scheme {scheme!r} "
-                f"(closed-form terms reach k={k_max})"
+                f"(its terms reach k={k_max}: Taylor order p+k-1 <= "
+                f"{MAX_TAYLOR_ORDER})"
             )
         self.base = base
-        self.scheme = key
-        self.family = "euler" if key == "euler" else "rk2"
-        self.p = p
+        self.tableau = tab
+        self.p = tab.order
         self.k = int(k)
-        self.name = f"{base.name}_{self.family}_k{k}"
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def term(self, j, y):
-        if self.family == "euler":
-            return euler_term(self.base, j, y)
-        return rk2_term(self.base, j, y)
 
     def terms(self, y):
-        """All kept correction terms, stacked as ``(k-1, ..., d)``."""
-        return np.stack([self.term(j, y) for j in range(1, self.k)], axis=0)
+        """The kept terms ``f^[1..k-1]``, stacked as ``(k-1, ..., d)``."""
+        cs = jets.split(y)
+        terms = _terms(self.base, self.tableau, cs, self.base.components(cs),
+                       self.k - 1)
+        return np.stack([jets.stack(t) for t in terms])
 
     def __call__(self, y, h):
-        y = np.asarray(y, dtype=float)
-        out = self.base(y)
-        if self.k == 1:
-            return out
-        h = np.asarray(h, dtype=float)
-        for j in range(1, self.k):
-            w = h ** (self.p + j - 1)
-            out = out + np.asarray(w)[..., None] * self.term(j, y)
-        return out
+        return jets.stack(self.components(jets.split(y),
+                                          np.asarray(h, dtype=float)))
 
     def components(self, cs, h=None):
         if h is None:
             raise ValueError("a truncated modified field needs a step h")
-        out = self.base.components(cs)
-        comps_fn = _euler_comps if self.family == "euler" else _rk2_comps
-        for j in range(1, self.k):
-            out = _add(out, _scale(comps_fn(self.base, j, cs), h ** (self.p + j - 1)))
+        out = f = self.base.components(cs)
+        for j, t in enumerate(_terms(self.base, self.tableau, cs, f,
+                                     self.k - 1), start=1):
+            w = h ** (self.p + j - 1)
+            out = tuple(o + w * x for o, x in zip(out, t))
         return out
 
 

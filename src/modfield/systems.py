@@ -11,6 +11,7 @@ from dataclasses import dataclass, field as _dcfield
 import numpy as np
 
 from . import _mathops as _m
+from . import jets
 from .errors import IntegrationFailureError
 
 
@@ -47,9 +48,7 @@ class VectorFieldSpec:
             raise ValueError(
                 f"state has last dimension {y.shape[-1]}, expected {self.dim}"
             )
-        comps = self.components(tuple(y[..., i] for i in range(self.dim)))
-        out = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in comps))
-        return np.stack(out, axis=-1)
+        return jets.stack(self.components(jets.split(y)))
 
     def negated(self):
         """The time-reversed field ``y' = -f(y)``."""

@@ -316,8 +316,13 @@ def load_dataset(path):
         header = fh.readline().strip().split(",")
         if len(header) != 2 * d + 1:
             raise ValueError(f"{path}: expected {2 * d + 1} columns")
-        rows = [np.fromstring(line, sep=",") for line in fh if line.strip()]
-    data = np.array(rows).reshape(-1, 2 * d + 1)
+        rows = [(n, np.fromstring(line, sep=","))
+                for n, line in enumerate(fh, start=4) if line.strip()]
+    for n, row in rows:
+        if row.size != 2 * d + 1:
+            raise ValueError(f"{path}: line {n} has {row.size} fields, "
+                             f"expected {2 * d + 1}")
+    data = np.array([row for _, row in rows]).reshape(-1, 2 * d + 1)
     return Dataset(data[:, :d], data[:, d], data[:, d + 1:],
                    system, scheme, float(tol_str), 0)
 

@@ -21,10 +21,8 @@ from modfield.integrators import (
     theorem_bound,
 )
 from modfield.modified_field import (
-    euler_term,
     extract_first_correction,
     midpoint_odd_coefficients,
-    rk2_term,
     truncated_field,
 )
 from modfield.neural import init_model, step_loss, step_loss_and_grad
@@ -95,8 +93,10 @@ def test_criterion_1_base_scheme_orders(pendulum, order_refs):
 
 def test_criterion_2_order_raising(pendulum, order_refs):
     hs, refs = order_refs
+    # midpoint k=2 gains two orders: its odd term f^[2] vanishes
     cases = [("euler", 2, 2.0), ("euler", 3, 3.0), ("euler", 4, 4.0),
-             ("rk2", 2, 3.0)]
+             ("rk2", 2, 3.0), ("rk2", 3, 4.0), ("rk2_heun", 2, 3.0),
+             ("rk2_heun", 3, 4.0), ("midpoint", 2, 4.0)]
     got = {}
     for scheme, k, want in cases:
         est = measured_order(truncated_field(pendulum, scheme, k),
@@ -116,11 +116,11 @@ def test_criterion_3_analytic_vs_extracted_corrections():
         sys_ = get_system(name)
         for y in rng.uniform(-2.0, 2.0, size=(20, sys_.dim)):
             ce = extract_first_correction("euler", sys_, y, euler_hs, degree=2)
-            worst_euler = max(worst_euler,
-                              np.abs(ce - euler_term(sys_, 1, y)).max())
+            worst_euler = max(worst_euler, np.abs(
+                ce - truncated_field(sys_, "euler", 2).terms(y)[0]).max())
             cr = extract_first_correction("rk2", sys_, y, rk2_hs, degree=3)
-            worst_rk2 = max(worst_rk2,
-                            np.abs(cr - rk2_term(sys_, 1, y)).max())
+            worst_rk2 = max(worst_rk2, np.abs(
+                cr - truncated_field(sys_, "rk2", 2).terms(y)[0]).max())
     pend = get_system("pendulum")
     worst_odd = max(np.abs(midpoint_odd_coefficients(
         pend, y, (0.2, 0.16, 0.12, 0.09, 0.07, 0.05))).max()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modfield.bench_cli import main
+from modfield.modified_field import truncated_field
 from modfield.neural import init_model, load_model, save_model
 from modfield.systems import get_system
 from modfield.training import TrainConfig, load_dataset, save_config
@@ -155,6 +156,26 @@ def test_field_error_map(tmp_path, trained):
     assert [float(r[0]) for r in rows] == [0.1, 0.3]
 
 
+def test_field_error_map_midpoint(tmp_path, cfg_file):
+    # a zeroed model is the base field, so against f + h^2 f^[1] the map
+    # reads |f^[1]| at every grid point
+    base = get_system("pendulum")
+    model = init_model(base, "midpoint", 2, 2, (6,), 0)
+    model.theta[...] = 0.0
+    path = tmp_path / "mid.json"
+    save_model(model, path)
+    out = tmp_path / "fem"
+    assert main(["field-error-map", "--config", cfg_file, "--model", str(path),
+                 "--out", str(out), "--k", "2", "--grid-n", "5",
+                 "--h-list", "0.1,0.3"]) == 0
+    _, _, rows = read_csv(out / "field_error_map.csv")
+    X = np.array([[float(v) for v in r[:2]] for r in rows])
+    g = np.array([float(r[2]) for r in rows])
+    f1 = truncated_field(base, "midpoint", 2).terms(X)[0]
+    assert len(rows) == 25
+    assert np.allclose(g, np.linalg.norm(f1, axis=-1), rtol=1e-9, atol=1e-15)
+
+
 def test_field_error_map_truncation_guard(tmp_path, trained, capsys):
     cfg, model = trained
     out = tmp_path / "fem"
@@ -195,7 +216,7 @@ def test_efficiency(tmp_path, trained):
                  "--out", str(out), "--repeats", "2"]) == 2
 
 
-def test_efficiency_skips_truncations_heun_lacks(tmp_path, cfg_file):
+def test_efficiency_heun_truncations(tmp_path, cfg_file):
     path = tmp_path / "heun.json"
     save_model(init_model(get_system("pendulum"), "rk2_heun", 2, 2, (6,), 0),
                path)
@@ -205,7 +226,9 @@ def test_efficiency_skips_truncations_heun_lacks(tmp_path, cfg_file):
                  "--tol-list", "1e-6", "--k-list", "2,3",
                  "--repeats", "3"]) == 0
     _, _, rows = read_csv(out / "efficiency.csv")
-    assert [r[0] for r in rows] == ["scheme_f", "scheme_fapp", "dopri5"]
+    assert [r[0] for r in rows] == ["scheme_f", "scheme_fapp",
+                                    "scheme_trunc_k2", "scheme_trunc_k3",
+                                    "dopri5"]
 
 
 def test_invariant_drift(tmp_path, trained):
@@ -236,6 +259,18 @@ def test_param_study(tmp_path):
     # term net 2->4->2 has 16 weights, remainder 3->4->2 has 20
     assert w == 36 and depth == 1 and K == 30
     assert delta > 0 and sqrt_w == pytest.approx(6.0)
+
+
+def test_param_study_rk2(tmp_path):
+    cfg = tmp_path / "ps.cfg"
+    save_config(micro_cfg(epochs=1, n_records=30, scheme="rk2", p=2), cfg)
+    out = tmp_path / "ps"
+    assert main(["param-study", "--config", str(cfg), "--out", str(out),
+                 "--widths", "4", "--depths", "1", "--data-sizes", "30",
+                 "--grid-n", "5"]) == 0
+    _, _, rows = read_csv(out / "param_study.csv")
+    delta = float(rows[0][3])
+    assert np.isfinite(delta) and delta > 0
 
 
 def test_compare_alt(tmp_path, cfg_file, trained):

@@ -7,47 +7,58 @@ from modfield.errors import (
     UnsupportedTruncationError,
 )
 from modfield.integrators import get_stepper, integrate, order_estimate
+from modfield.jets import directional_derivative
 from modfield.modified_field import (
-    euler_term,
     extract_first_correction,
     max_truncation,
     midpoint_field_probe,
     midpoint_odd_coefficients,
-    rk2_term,
     truncated_field,
 )
 from modfield.systems import get_system, reference_flow
 
 
-# hand-computed correction terms at the pendulum point (1, 0)
+# frozen correction terms at the pendulum point (1, 0)
 EULER_AT_10 = {1: (-0.5, 0.0), 2: (0.0, -1.0 / 6.0), 3: (1.0 / 12.0, 0.0)}
-RK2_AT_10 = {1: (0.0, -1.0 / 6.0), 2: (-25.0 / 240.0, 0.0)}
+RK2_AT_10 = {1: (0.0, -1.0 / 6.0), 2: (-1.0 / 8.0, 0.0)}
+
+
+def terms_at(base, scheme, y, n):
+    """Correction terms ``f^[1..n]`` of ``scheme`` at ``y``."""
+    return truncated_field(base, scheme, n + 1).terms(y)
 
 
 def test_euler_terms_frozen_values(pendulum):
-    y = np.array([1.0, 0.0])
+    got = terms_at(pendulum, "euler", np.array([1.0, 0.0]), 3)
     for j, expect in EULER_AT_10.items():
-        assert np.allclose(euler_term(pendulum, j, y), expect, atol=1e-14)
+        assert np.allclose(got[j - 1], expect, atol=1e-14)
 
 
 def test_rk2_terms_frozen_values(pendulum):
-    y = np.array([1.0, 0.0])
+    got = terms_at(pendulum, "rk2", np.array([1.0, 0.0]), 2)
     for j, expect in RK2_AT_10.items():
-        assert np.allclose(rk2_term(pendulum, j, y), expect, atol=1e-14)
+        assert np.allclose(got[j - 1], expect, atol=1e-14)
 
 
 def test_term_batching(pendulum, rng):
     y = rng.uniform(-2, 2, size=(12, 2))
-    batched = euler_term(pendulum, 2, y)
-    rows = np.stack([euler_term(pendulum, 2, v) for v in y])
-    assert np.array_equal(batched, rows)
+    for scheme in ("euler", "rk2", "rk2_heun", "midpoint"):
+        batched = terms_at(pendulum, scheme, y, 2)
+        rows = np.stack([terms_at(pendulum, scheme, v, 2) for v in y], axis=1)
+        assert np.array_equal(batched, rows), scheme
 
 
 def test_term_argument_guards(pendulum):
-    with pytest.raises(ValueError):
-        euler_term(pendulum, 0, np.array([1.0, 0.0]))
-    with pytest.raises(UnsupportedTruncationError):
-        rk2_term(pendulum, 3, np.array([1.0, 0.0]))
+    # one cap for every scheme: the last term needs Taylor order
+    # p + k - 1 <= 5 of the flow
+    caps = {"euler": 5, "rk2": 4, "rk2_heun": 4, "midpoint": 4, "dopri5": 1}
+    for scheme, k_max in caps.items():
+        assert max_truncation(scheme) == k_max
+        assert truncated_field(pendulum, scheme, k_max).k == k_max
+        with pytest.raises(UnsupportedTruncationError, match=f"k={k_max + 1}"):
+            truncated_field(pendulum, scheme, k_max + 1)
+    with pytest.raises(ValueError, match="step h"):
+        truncated_field(pendulum, "rk2", 2).components((1.0, 0.0))
 
 
 def test_truncation_k1_is_base_field(pendulum, rng):
@@ -60,11 +71,11 @@ def test_truncation_k2_formula(pendulum, rng):
     f2 = truncated_field(pendulum, "euler", 2)
     y = rng.uniform(-2, 2, size=(6, 2))
     h = 0.2
-    expect = pendulum(y) + h * euler_term(pendulum, 1, y)
+    expect = pendulum(y) + h * f2.terms(y)[0]
     assert np.allclose(f2(y, h), expect, atol=1e-15)
     # rk2 has p = 2: correction enters at h^2
     g2 = truncated_field(pendulum, "rk2", 2)
-    expect = pendulum(y) + h * h * rk2_term(pendulum, 1, y)
+    expect = pendulum(y) + h * h * g2.terms(y)[0]
     assert np.allclose(g2(y, h), expect, atol=1e-15)
 
 
@@ -84,25 +95,25 @@ def test_truncation_terms_shape(pendulum, rng):
 
 def test_truncation_unsupported(pendulum):
     with pytest.raises(UnsupportedTruncationError):
-        truncated_field(pendulum, "rk2", 4)
+        truncated_field(pendulum, "rk2", 5)
     with pytest.raises(UnsupportedTruncationError):
-        truncated_field(pendulum, "midpoint", 2)
+        truncated_field(pendulum, "midpoint", 5)
+    with pytest.raises(UnsupportedTruncationError):
+        truncated_field(pendulum, "euler", 6)
     with pytest.raises(UnsupportedTruncationError):
         truncated_field(pendulum, "euler", 0)
 
 
-def test_heun_has_no_closed_form_terms(pendulum, rng):
-    # the implemented RK2 terms are explicit midpoint's; Heun's differ, so
-    # only the base field (k = 1) is offered for it
-    assert max_truncation("rk2_heun") == 1
-    assert max_truncation("rk2") == max_truncation("rk2_midpoint") == 3
-    assert max_truncation("euler") == 5 and max_truncation("midpoint") == 0
-    for k in (2, 3):
-        with pytest.raises(UnsupportedTruncationError, match="rk2_heun"):
-            truncated_field(pendulum, "rk2_heun", k)
-    y = rng.uniform(-2, 2, size=(4, 2))
-    assert np.array_equal(truncated_field(pendulum, "rk2_heun", 1)(y, 0.3),
-                          pendulum(y))
+def test_heun_terms_differ_from_explicit_midpoint(rigid_body):
+    # both RK2 tableaus have order 2 but different error constants, so
+    # their first terms differ; Heun's matches its own extracted term
+    y = np.array([0.6, -0.4, 1.1])
+    heun = terms_at(rigid_body, "rk2_heun", y, 1)[0]
+    mid = terms_at(rigid_body, "rk2_midpoint", y, 1)[0]
+    assert np.max(np.abs(heun - mid)) > 1e-3
+    got = extract_first_correction(
+        "rk2_heun", rigid_body, y, hs=(0.08, 0.06, 0.04, 0.03, 0.02), degree=3)
+    assert np.max(np.abs(got - heun)) < 1e-5
 
 
 def test_truncated_field_raises_order(pendulum):
@@ -124,14 +135,14 @@ def test_extract_first_correction_euler(pendulum):
     y = np.array([1.0, 0.0])
     got = extract_first_correction(
         "euler", pendulum, y, hs=(0.01, 0.005, 0.0025, 0.00125, 0.000625))
-    assert np.max(np.abs(got - euler_term(pendulum, 1, y))) < 1e-6
+    assert np.max(np.abs(got - terms_at(pendulum, "euler", y, 1)[0])) < 1e-6
 
 
 def test_extract_first_correction_rk2(rigid_body):
     y = np.array([0.6, -0.4, 1.1])
     got = extract_first_correction(
         "rk2", rigid_body, y, hs=(0.08, 0.06, 0.04, 0.03, 0.02), degree=3)
-    assert np.max(np.abs(got - rk2_term(rigid_body, 1, y))) < 1e-5
+    assert np.max(np.abs(got - terms_at(rigid_body, "rk2", y, 1)[0])) < 1e-5
 
 
 def test_extract_first_correction_validation(pendulum):
@@ -196,7 +207,32 @@ def test_euler_odd_coefficients_do_not_vanish(pendulum):
     # reuse the probe on a field whose modified expansion is not even:
     # compare the midpoint probe of the pendulum against the truncated
     # Euler field evaluated at the same states; the difference at first
-    # order is euler_term(1), far above the 1e-6 scale of the real test
+    # order is the Euler f^[1], far above the 1e-6 scale of the real test
     g = midpoint_field_probe(pendulum, x, 0.2)
     f2 = truncated_field(pendulum, "euler", 2)
     assert np.max(np.abs(g - f2(x, 0.2))) > 1e-3
+
+
+def test_midpoint_terms_match_probe(pendulum):
+    """The closed-form midpoint field f + h^2 f^[1] + h^4 f^[3] meets the
+    probed modified field up to O(h^6); the odd term f^[2] vanishes."""
+    x = np.array([[1.0, 0.4], [0.3, -0.8]])
+    f4 = truncated_field(pendulum, "midpoint", 4)
+    assert np.max(np.abs(f4.terms(x)[1])) < 1e-15
+    hs = (0.4, 0.2, 0.1)
+    gaps = [np.max(np.abs(midpoint_field_probe(pendulum, x, h, tol=1e-14)
+                          - f4(x, h))) for h in hs]
+    assert order_estimate(np.array(gaps), np.array(hs)) == pytest.approx(
+        6.0, abs=0.2)
+
+
+def test_truncated_field_differentiates_through_jets(pendulum, rng):
+    # the step's h-series runs inside the jets of an enclosing derivative;
+    # mixing the two levels would break this Jacobian-vector product
+    y = rng.uniform(-1, 1, size=(3, 2))
+    v = rng.uniform(-1, 1, size=(3, 2))
+    for scheme in ("rk2", "rk2_heun", "midpoint"):
+        f3 = truncated_field(pendulum, scheme, 3)
+        jvp = directional_derivative(f3, y, v, 0.3)
+        fd = (f3(y + 1e-5 * v, 0.3) - f3(y - 1e-5 * v, 0.3)) / 2e-5
+        assert np.max(np.abs(jvp - fd)) < 1e-8, scheme

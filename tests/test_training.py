@@ -6,7 +6,7 @@ import pytest
 
 from modfield.errors import ConditioningError, TrainingDivergedError
 from modfield.integrators import adaptive_flow_batch, box_grid
-from modfield.modified_field import euler_term, truncated_field
+from modfield.modified_field import truncated_field
 from modfield.neural import init_model, mlp_forward, mlp_init
 from modfield.training import (
     Dataset,
@@ -179,6 +179,17 @@ def test_load_dataset_rejects_missing_header(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_rejects_short_rows(tmp_path):
+    # 5 rows of 4 fields hold 20 numbers, which would reshape silently into
+    # 4 misaligned records of 5
+    path = tmp_path / "short.csv"
+    rows = "".join(f"{i}.1,{i}.2,{i}.3,{i}.4\n" for i in range(5))
+    path.write_text("# d,system,scheme,tol\n# 2,pendulum,euler,1e-12\n"
+                    "y0_1,y0_2,h,y1_1,y1_2\n" + rows)
+    with pytest.raises(ValueError, match="line 4 has 4 fields, expected 5"):
+        load_dataset(path)
+
+
 def test_split_dataset():
     cfg = TrainConfig(n_records=100, seed=1)
     ds = generate_dataset(cfg)
@@ -294,7 +305,8 @@ def test_alt_extraction_recovers_first_correction(pendulum):
     steps = np.array([0.000625, 0.00125, 0.0025, 0.005, 0.01])
     y0 = np.array([1.0, 0.0])
     c, _ = alt_extract_targets(pendulum, y0, steps, 3, 1, tol=1e-13)
-    assert np.abs(c[0] - euler_term(pendulum, 1, y0)).max() <= 1e-4
+    f1 = truncated_field(pendulum, "euler", 2).terms(y0)[0]
+    assert np.abs(c[0] - f1).max() <= 1e-4
 
 
 def test_alt_extraction_batch_matches_scalar(pendulum, rng):
@@ -401,7 +413,7 @@ def test_learning_error_delta_zero_model_measures_first_term(pendulum):
     for p in model.parameters():
         p[...] = 0.0
     box = TrainConfig().domain()
-    delta = learning_error_delta(model, truncated_field(pendulum, "euler", 2),
-                                 box, 9, [0.1, 0.2, 0.4])
-    expect = np.abs(euler_term(pendulum, 1, box_grid(box, 9))).max()
+    f2 = truncated_field(pendulum, "euler", 2)
+    delta = learning_error_delta(model, f2, box, 9, [0.1, 0.2, 0.4])
+    expect = np.abs(f2.terms(box_grid(box, 9))[0]).max()
     assert math.isclose(delta, expect, rel_tol=1e-9)
