@@ -13,7 +13,8 @@ diagnostics, and a benchmark CLI.
 """
 
 from .errors import (ConditioningError, ConditioningWarning,
-                     FixedPointError, IntegrationFailureError,
+                     DomainSamplingError, FixedPointError,
+                     IntegrationFailureError,
                      ModfieldError, StageOverflowError,
                      TrainingDivergedError, UnsupportedTruncationError)
 from .integrators import (ButcherTableau, ErrorBoundInputs, Trajectory,

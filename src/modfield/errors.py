@@ -16,6 +16,17 @@ class IntegrationFailureError(ModfieldError):
         self.t_reached = t_reached
 
 
+class DomainSamplingError(ModfieldError):
+    """Rejection sampling found no state of the domain's norm shell.
+
+    Carries ``record``, the index of the record being drawn, where known.
+    """
+
+    def __init__(self, msg, record=None):
+        super().__init__(msg)
+        self.record = record
+
+
 class StageOverflowError(ModfieldError):
     """A Runge-Kutta stage produced a non-finite value.
 

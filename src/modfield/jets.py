@@ -150,5 +150,7 @@ def split(y):
 
 def stack(comps):
     """States shaped ``(..., d)`` from ``d`` broadcastable components."""
-    out = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in comps))
-    return np.stack(out, axis=-1)
+    out = np.empty(np.broadcast(*comps).shape + (len(comps),))
+    for i, c in enumerate(comps):
+        out[..., i] = c
+    return out

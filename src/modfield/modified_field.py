@@ -147,7 +147,10 @@ class TruncatedModifiedField:
         cs = jets.split(y)
         terms = _terms(self.base, self.tableau, cs, self.base.components(cs),
                        self.k - 1)
-        return np.stack([jets.stack(t) for t in terms])
+        out = np.empty((len(terms),) + np.shape(y))
+        for j, t in enumerate(terms):
+            out[j] = jets.stack(t)
+        return out
 
     def __call__(self, y, h):
         return jets.stack(self.components(jets.split(y),

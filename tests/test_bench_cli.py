@@ -335,3 +335,13 @@ def test_training_divergence_is_a_numerical_failure(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_unreachable_shell_is_a_numerical_failure(tmp_path, capsys):
+    cfg = tmp_path / "corner.cfg"
+    save_config(micro_cfg(system="rigid_body", omega_lower=(-2.0,) * 3,
+                          omega_upper=(2.0,) * 3, omega_shell=(3.46, 3.5)),
+                cfg)
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "record 0" in capsys.readouterr().err

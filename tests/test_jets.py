@@ -7,6 +7,7 @@ from modfield.jets import (
     Jet,
     dd_components,
     directional_derivative,
+    stack,
 )
 from modfield.systems import get_system
 
@@ -80,6 +81,14 @@ def test_array_valued_jets():
     j = Jet([x, np.ones_like(x)]).sin()
     assert np.allclose(j.coeff(0), np.sin(x))
     assert np.allclose(j.coeff(1), np.cos(x))
+
+
+def test_stack_broadcasts_constant_components():
+    out = stack((np.array([1.0, 2.0, 3.0]), 0.5, np.float64(-1.0)))
+    assert out.shape == (3, 3)
+    assert np.array_equal(out, [[1.0, 0.5, -1.0], [2.0, 0.5, -1.0],
+                                [3.0, 0.5, -1.0]])
+    assert np.array_equal(stack((2.0, 3.0)), [2.0, 3.0])
 
 
 def test_directional_derivative_matches_fd(rng):

@@ -67,6 +67,13 @@ def test_truncation_k1_is_base_field(pendulum, rng):
     assert np.array_equal(f1(y, 0.3), pendulum(y))
 
 
+def test_truncation_k1_has_no_terms(pendulum, rng):
+    y = rng.uniform(-2, 2, size=(6, 2))
+    f1 = truncated_field(pendulum, "euler", 1)
+    assert f1.terms(y).shape == (0, 6, 2)
+    assert f1.terms(y[0]).shape == (0, 2)
+
+
 def test_truncation_k2_formula(pendulum, rng):
     f2 = truncated_field(pendulum, "euler", 2)
     y = rng.uniform(-2, 2, size=(6, 2))

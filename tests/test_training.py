@@ -1,14 +1,18 @@
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modfield.errors import ConditioningError, TrainingDivergedError
+from modfield import neural
+from modfield.errors import (ConditioningError, DomainSamplingError,
+                             TrainingDivergedError)
 from modfield.integrators import adaptive_flow_batch, box_grid
 from modfield.modified_field import truncated_field
 from modfield.neural import init_model, mlp_forward, mlp_init
 from modfield.training import (
+    _draw_state,
     Dataset,
     TrainConfig,
     alt_extract_targets,
@@ -155,6 +159,50 @@ def test_generate_dataset_records_are_reference_flows():
     assert np.abs(out - ds.y1[idx]).max() <= 1e-8
 
 
+def one_at_a_time(cfg, i):
+    """Record ``i``'s ``(y0, h)`` from single-state draws, and the
+    ``random()`` its stream gives right after ``y0``: the stream contract
+    the sampler keeps."""
+    box = cfg.domain()
+    rng = np.random.default_rng([cfg.seed, i])
+    while True:
+        x = rng.uniform(box.lower, box.upper)
+        if box.shell is None or (
+                box.shell[0] <= float(np.linalg.norm(x)) <= box.shell[1]):
+            break
+    after = copy.deepcopy(rng).random()
+    h = math.exp(rng.uniform(math.log(cfg.h_min), math.log(cfg.h_max)))
+    return x, h, after
+
+
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(system="rigid_body", omega_lower=(-2.0,) * 3,
+                omega_upper=(2.0,) * 3, omega_shell=(0.98, 1.02),
+                h_min=0.5, h_max=2.5, n_records=40, seed=8),
+    TrainConfig(n_records=40, seed=8),
+], ids=["rigid_body_shell", "pendulum_box"])
+def test_sampler_keeps_the_one_at_a_time_stream(cfg):
+    ds = generate_dataset(cfg)
+    box = cfg.domain()
+    for i in range(len(ds)):
+        x, h, after = one_at_a_time(cfg, i)
+        assert ds.y0[i].tobytes() == x.tobytes()
+        assert ds.h[i] == h
+        rng = np.random.default_rng([cfg.seed, i])
+        _draw_state(rng, box)
+        assert rng.random() == after
+
+
+def test_unreachable_shell_names_the_record():
+    # the shell meets only the box corners, about 1e-8 of the box volume
+    cfg = TrainConfig(system="rigid_body", omega_lower=(-2.0,) * 3,
+                      omega_upper=(2.0,) * 3, omega_shell=(3.46, 3.5),
+                      n_records=3, seed=9)
+    with pytest.raises(DomainSamplingError, match="record 0") as info:
+        generate_dataset(cfg)
+    assert info.value.record == 0
+
+
 def test_generate_dataset_empty():
     ds = generate_dataset(TrainConfig(n_records=0))
     assert len(ds) == 0 and ds.dim == 2
@@ -170,6 +218,19 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.h, ds.h)
     assert np.array_equal(back.y1, ds.y1)
     assert (back.system, back.scheme, back.tol) == (ds.system, ds.scheme, ds.tol)
+
+
+def test_save_dataset_renders_each_value_exactly(tmp_path):
+    y0 = np.array([[-0.0, 5e-324], [1e300, -2.2250738585072014e-308]])
+    y1 = np.array([[math.pi, -1e-310], [0.1, 1.0]])
+    ds = Dataset(y0, np.array([0.5, 1e-17]), y1, "pendulum", "euler", 1e-10)
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    rows = open(path).read().splitlines()[3:]
+    assert rows == [",".join(neural.format_exact(v)
+                             for v in [*ds.y0[i], ds.h[i], *ds.y1[i]])
+                    for i in range(len(ds))]
+    assert rows[0].startswith("-0,4.9406564584124654e-324,")
 
 
 def test_load_dataset_rejects_missing_header(tmp_path):
