@@ -2,14 +2,16 @@
 
 Just enough operator coverage to backpropagate a scalar loss through the
 same stepping code that runs on arrays: the explicit Runge-Kutta stage
-loop (or the fixed unroll of the implicit-midpoint fixed point) over
-benchmark vector fields (sin/cos/products of state columns) and small
-tanh MLPs.  Variables hold dense float arrays; constants stay plain
-ndarrays and are never tracked, on either side of an operator
-(``ndarray * Var`` reaches ``Var.__rmul__``), and ``affine`` and
-``concat_cols`` give plain arrays when nothing they take is a variable,
-so one forward pass serves both.  Gradients accumulate in reverse
-topological order.
+loop (or the fixed unroll of the implicit-midpoint fixed point) and the
+benchmark vector fields (sin/cos/products of state columns).  The tanh
+MLPs are not built from these operators: ``neural.mlp_forward`` records
+a whole pass as one node whose backward is the closed-form MLP
+vector-Jacobian product, and each net's parameter vector is one leaf.
+Variables hold dense float arrays; constants stay plain ndarrays and are
+never tracked, on either side of an operator (``ndarray * Var`` reaches
+``Var.__rmul__``), and ``concat_cols`` gives a plain array when its
+input is one, so one forward pass serves both.  Gradients accumulate in
+reverse topological order.
 """
 
 import numpy as np
@@ -100,13 +102,6 @@ class Var:
             a._accum(-g * sin_x)
         return Var(np.cos(self.value), (self,), back)
 
-    def tanh(self):
-        t = np.tanh(self.value)
-
-        def back(g, a=self):
-            a._accum(g * (1.0 - t * t))
-        return Var(t, (self,), back)
-
     # -- structure ops -------------------------------------------------
 
     def col(self, i):
@@ -140,27 +135,6 @@ def concat_cols(a, b):
     def back(g, a=a, m=m):
         a._accum(g[..., :m])
     return Var(np.concatenate([a.value, b], axis=-1), (a,), back)
-
-
-def affine(x, w, b):
-    """``x @ w.T + b`` for ``x`` (B, in), ``w`` (out, in), ``b`` (out,).
-
-    ``w`` and ``b`` are both Vars or both arrays, and with arrays the
-    result is a plain array; ``x`` may be either.
-    """
-    if not isinstance(w, Var):
-        return x @ w.T + b
-    if not isinstance(x, Var):
-        def back(g, x=x, w=w, b=b):
-            w._accum(g.T @ x)
-            b._accum(g.sum(axis=0))
-        return Var(x @ w.value.T + b.value, (w, b), back)
-
-    def back(g, x=x, w=w, b=b):
-        x._accum(g @ w.value)
-        w._accum(g.T @ x.value)
-        b._accum(g.sum(axis=0))
-    return Var(x.value @ w.value.T + b.value, (x, w, b), back)
 
 
 def weighted_sumsq(x, weights):

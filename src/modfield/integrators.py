@@ -300,13 +300,19 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
     controller state, so results are bitwise identical to running records
     one at a time.
 
-    Returns ``(y, ok, t_reached)``.  Records whose step size underflows are
-    flagged ``ok=False`` with the last reached time; no exception is
-    raised here so that callers may resample.
+    Returns ``(y, ok, t_reached)``.  Records whose step size underflows
+    (or is not a number) are flagged ``ok=False`` with the last reached
+    time; no exception is raised here so that callers may resample.
+    Tolerances must be finite with ``atol > 0`` and ``rtol >= 0``
+    (``ValueError`` otherwise).
 
     With ``collect=True`` (single record only) additionally returns the
     accepted ``(times, states)`` history.
     """
+    if not (math.isfinite(atol) and math.isfinite(rtol)
+            and atol > 0 and rtol >= 0):
+        raise ValueError(f"need finite atol > 0 and rtol >= 0, got "
+                         f"atol={atol!r}, rtol={rtol!r}")
     tab = _TABLEAUS["dopri5"]
     A, B, C = tab.a, tab.b, tab.c
     E = B - tab.b_emb
@@ -395,7 +401,8 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
         done = accept & final
         t = np.where(done, tend, t)
         h_floor = 1e-13 * np.maximum(1.0, tend)
-        failed = ~done & ((h < h_floor) | (nsteps >= max_steps))
+        # a NaN step fails too
+        failed = ~done & (~(h >= h_floor) | (nsteps >= max_steps))
 
         if np.any(done) or np.any(failed):
             out_y[idx] = y

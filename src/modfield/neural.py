@@ -10,11 +10,15 @@ step as an extra input.  At h = 0 the learned field reduces to the base
 field, so any consistent scheme driven by it stays consistent.  Training
 minimizes the h-weighted one-step mean squared error.  Its step is the
 inference step: :func:`scheme_step` runs on a copy of the model whose
-parameters are tape leaves (``_tape``), so the same forward pass and the
-same Runge-Kutta stage loop build the graph that gradients flow back
-through.  Each model keeps all its parameters in one vector ``theta``;
-the per-layer weights and biases are views into it, and gradients and
-Adam work on the whole vector.
+nets each have one tape leaf, their parameter vector (``_tape``), so
+the same forward pass and the same Runge-Kutta stage loop build the
+graph that gradients flow back through.  Each MLP pass is one tape
+node: its forward runs on plain arrays and keeps the activations, and
+its backward is the closed-form tanh-MLP vector-Jacobian product,
+written into one flat gradient laid out like the net's vector.  Each
+model keeps all its parameters in one vector ``theta``; the per-layer
+weights and biases are views into it, and gradients and Adam work on
+the whole vector.
 
 All arithmetic is float64: the loss weights h^{-(2p+2)} span many orders
 of magnitude over a step range like [0.1, 2.5].
@@ -100,24 +104,56 @@ def mlp_init(layer_sizes, seed):
     return MlpParams(sizes, weights, biases)
 
 
+def _layers(net, x, keep=None):
+    """The pass on arrays; appends each layer's input to ``keep``."""
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if keep is not None:
+            keep.append(x)
+        x = x @ w.T + b
+        if i < last:
+            x = np.tanh(x)
+    return x
+
+
 def mlp_forward(net, x):
     """Evaluate the network on ``x`` with shape ``(..., input)``.
 
-    On a tape copy of the net (:func:`_on_tape`) the pass is recorded on
-    the tape and returns a ``_tape.Var``.
+    On a tape copy of the net (:func:`_on_tape`) the whole pass is one
+    tape node over the net's parameter leaf and returns a ``_tape.Var``;
+    ``x`` may then be a ``(B, input)`` Var or array.
     """
-    if not isinstance(x, _tape.Var):
-        x = np.asarray(x, dtype=float)
-    if x.shape[-1] != net.layer_sizes[0]:
+    xv = x.value if isinstance(x, _tape.Var) else np.asarray(x, dtype=float)
+    if xv.shape[-1] != net.layer_sizes[0]:
         raise ValueError(
-            f"input size {x.shape[-1]} != expected {net.layer_sizes[0]}"
+            f"input size {xv.shape[-1]} != expected {net.layer_sizes[0]}"
         )
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        x = _tape.affine(x, w, b)
-        if i < last:
-            x = tanh(x)
-    return x
+    leaf = net.vector
+    if not isinstance(leaf, _tape.Var):
+        return _layers(net, xv)
+    acts = []
+    out = _layers(net, xv, acts)
+
+    def back(g):
+        # closed-form tanh-MLP VJP into a flat gradient laid out like
+        # ``vector``: per layer the weight, then the bias
+        grad = np.empty(leaf.value.size)
+        end = grad.size
+        for i in range(len(acts) - 1, -1, -1):
+            w, a = net.weights[i], acts[i]
+            n_out = w.shape[0]
+            grad[end - n_out:end] = g.sum(axis=0)
+            end -= n_out
+            grad[end - w.size:end] = (g.T @ a).ravel()
+            end -= w.size
+            if i:
+                g = (g @ w) * (1.0 - a * a)
+            elif isinstance(x, _tape.Var):
+                x._accum(g @ w)
+        leaf._accum(grad)
+
+    parents = (x, leaf) if isinstance(x, _tape.Var) else (leaf,)
+    return _tape.Var(out, parents, back)
 
 
 def mlp_forward_components(net, cs):
@@ -292,22 +328,14 @@ def _tape_field(base, y):
 
 
 def _on_tape(nets):
-    """Shallow copies of ``nets`` whose weights and biases are tape leaves
-    over the same arrays, and those leaves in parameter-vector order."""
-    copies, leaves = [], []
+    """Shallow copies of ``nets`` whose ``vector`` is one tape leaf over
+    the net's own parameter vector; weights and biases stay array views."""
+    copies = []
     for net in nets:
         net = copy.copy(net)
-        net.weights = [_tape.Var(w) for w in net.weights]
-        net.biases = [_tape.Var(b) for b in net.biases]
-        for wb in zip(net.weights, net.biases):
-            leaves.extend(wb)
+        net.vector = _tape.Var(net.vector)
         copies.append(net)
-    return copies, leaves
-
-
-def _flat_grad(leaves):
-    """Gradients accumulated on ``leaves``, concatenated into one vector."""
-    return np.concatenate([lf.grad.ravel() for lf in leaves])
+    return copies
 
 
 # -- loss and gradients ------------------------------------------------
@@ -347,7 +375,7 @@ def step_loss_and_grad(model, scheme, batch):
     y0, h, y1 = _batch_arrays(batch)
     if y0.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    nets, leaves = _on_tape(model.nets)
+    nets = _on_tape(model.nets)
     taped = copy.copy(model)
     taped.term_nets, taped.remainder_net = nets[:-1], nets[-1]
     resid = scheme_step(taped, scheme, y0, h) - y1
@@ -361,7 +389,7 @@ def step_loss_and_grad(model, scheme, batch):
             f"non-finite training loss at record {record}", record=record
         )
     _tape.backward(loss)
-    return float(loss.value), _flat_grad(leaves)
+    return float(loss.value), np.concatenate([n.vector.grad for n in nets])
 
 
 # -- Adam ---------------------------------------------------------------

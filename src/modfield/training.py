@@ -116,6 +116,14 @@ class TrainConfig:
             raise ValueError("n_records must be >= 0")
         if self.p < 1 or self.n_terms < 1 or self.n_steps < 1:
             raise ValueError("p, n_terms, n_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0")
 
     def domain(self):
         return DomainBox(np.asarray(self.omega_lower, dtype=float),
@@ -525,6 +533,20 @@ def alt_extract_targets_batch(field_, y0, steps, n_terms, p,
     return coeffs, r_targets
 
 
+def _regress_loss_and_grad(net, x, t, record=None):
+    """Batch mean of ``|net(x) - t|^2`` and its gradient, one vector
+    aligned with ``net.vector``.  A non-finite loss raises
+    :class:`TrainingDivergedError` carrying ``record``."""
+    (on_tape,) = neural._on_tape([net])
+    resid = neural.mlp_forward(on_tape, x) - t
+    loss = _tape.weighted_sumsq(resid, np.ones(len(x))) * (1.0 / len(x))
+    if not np.isfinite(loss.value):
+        raise TrainingDivergedError("regression loss is not finite",
+                                    record=record)
+    _tape.backward(loss)
+    return float(loss.value), on_tape.vector.grad
+
+
 def _regress_job(args):
     """Train one network against fixed targets; pure function of args."""
     (sizes, weights, biases, X, T, lr, wd, batch_size, epochs, seed) = args
@@ -534,22 +556,13 @@ def _regress_job(args):
     rng = np.random.default_rng(seed)
     n = len(X)
     losses = []
-    ones = None
     for _epoch in range(epochs):
         perm = rng.permutation(n)
         for s in range(0, n, batch_size):
             idx = perm[s:s + batch_size]
-            xb, tb = X[idx], T[idx]
-            (on_tape,), leaves = neural._on_tape([net])
-            pred = neural.mlp_forward(on_tape, xb)
-            if ones is None or len(ones) != len(idx):
-                ones = np.ones(len(idx))
-            loss = _tape.weighted_sumsq(pred - tb, ones) * (1.0 / len(idx))
-            if not np.isfinite(loss.value):
-                raise TrainingDivergedError(
-                    "regression loss is not finite", record=int(idx[0]))
-            _tape.backward(loss)
-            neural.adam_update(params, [neural._flat_grad(leaves)], state)
+            _loss, grad = _regress_loss_and_grad(net, X[idx], T[idx],
+                                                 record=int(idx[0]))
+            neural.adam_update(params, [grad], state)
         err = neural.mlp_forward(net, X) - T
         losses.append(float(np.mean(np.sum(err**2, axis=-1))))
     return net.vector, losses

@@ -4,7 +4,9 @@ Each test prints a single ``criterion N (...): PASS/FAIL`` line; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines as they appear
 (they are also shown with ``-rA``).  The heaviest fixtures are the desk
 training run (criterion 5, ~20 s) and the standard-versus-per-term
-comparison pipeline (criterion 7, a few minutes single-threaded).
+comparison pipeline (criterion 7, a few minutes single-threaded); the
+tests over ~10 s carry the ``slow`` marker, so ``pytest -m "not slow"``
+skips them.
 """
 
 import numpy as np
@@ -91,6 +93,7 @@ def test_criterion_1_base_scheme_orders(pendulum, order_refs):
            ", ".join(f"{s}={got[s]:.3f}" for s in got))
 
 
+@pytest.mark.slow
 def test_criterion_2_order_raising(pendulum, order_refs):
     hs, refs = order_refs
     # midpoint k=2 gains two orders: its odd term f^[2] vanishes
@@ -179,6 +182,7 @@ def desk_run():
     return cfg, model, rep
 
 
+@pytest.mark.slow
 def test_criterion_5_training_payoff(pendulum, desk_run):
     cfg, model, rep = desk_run
     decrease = rep.initial_train / rep.train_losses[-1]
@@ -191,6 +195,7 @@ def test_criterion_5_training_payoff(pendulum, desk_run):
            f"trajectory error improved {bare / learned:.0f}x")
 
 
+@pytest.mark.slow
 def test_criterion_6_error_bound(pendulum, desk_run):
     cfg, model, _ = desk_run
     box = cfg.domain()
@@ -227,6 +232,7 @@ def compare_runs(tmp_path_factory):
     return np.array(rows)
 
 
+@pytest.mark.slow
 def test_criterion_7_per_term_route_matches_standard(pendulum, compare_runs):
     # exactness of the target extraction on data inside the model class
     rng = np.random.default_rng(99)

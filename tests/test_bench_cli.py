@@ -327,6 +327,33 @@ def test_bad_worker_count_is_a_usage_error(tmp_path, cfg_file, capsys,
     assert "MODFIELD_WORKERS" in err and repr(value) in err
 
 
+@pytest.mark.parametrize("line", ["batch_size=0", "batch_size=-5",
+                                  "epochs=-1", "learning_rate=-1",
+                                  "learning_rate=0", "tol=0"])
+def test_bad_training_value_is_a_usage_error(tmp_path, cfg_file, capsys,
+                                            line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(open(cfg_file).read() + "n_records=50\nepochs=1\n"
+                   + line + "\n")
+    out = tmp_path / "o"
+    rc = main(["train", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert line.split("=")[0] in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
+def test_zero_tolerance_is_a_usage_error(tmp_path, cfg_file, capsys):
+    path = tmp_path / "model.json"
+    save_model(init_model(get_system("pendulum"), "euler", 1, 2, (6,), 0),
+               path)
+    rc = main(["efficiency", "--config", cfg_file, "--model", str(path),
+               "--out", str(tmp_path / "eff"), "--T", "1.0",
+               "--h-list", "0.25", "--tol-list", "0", "--k-list", "2",
+               "--repeats", "3"])
+    assert rc == 2
+    assert "atol" in capsys.readouterr().err
+
+
 def test_training_divergence_is_a_numerical_failure(tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     save_config(micro_cfg(learning_rate=1e200), cfg)

@@ -163,6 +163,30 @@ def test_adaptive_flow_reports_failure():
     assert reached[0] < 1.0
 
 
+@pytest.mark.parametrize("atol, rtol", [
+    (0.0, 1e-10), (-1e-10, 1e-10), (1e-10, -1e-10), (np.inf, 1e-10),
+    (1e-10, np.nan)])
+def test_adaptive_flow_rejects_bad_tolerances(pendulum, atol, rtol):
+    with pytest.raises(ValueError, match="atol"):
+        adaptive_flow_batch(pendulum, np.array([[1.0, 0.0]]),
+                            np.array([1.0]), atol, rtol)
+
+
+def test_adaptive_flow_fails_a_nan_step():
+    # a NaN field makes the step size NaN; the record must fail at once
+    # instead of running to max_steps
+    calls = []
+
+    def nan_field(y, h):
+        calls.append(1)
+        return np.full_like(y, np.nan)
+
+    out, ok, reached = adaptive_flow_batch(nan_field, np.array([[1.0]]),
+                                           np.array([1.0]), 1e-10, 1e-10)
+    assert not ok[0] and reached[0] == 0.0
+    assert len(calls) < 20
+
+
 def test_dopri5_integrate_accuracy(pendulum):
     y0 = np.array([1.5, 0.0])
     traj = dopri5_integrate(pendulum, y0, 5.0, 1e-10, 1e-10)

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -9,10 +10,13 @@ from modfield.errors import (
     CheckpointVersionError,
     TrainingDivergedError,
 )
+from modfield._tape import Var, backward, weighted_sumsq
 from modfield.integrators import get_tableau, rk_step
 from modfield.neural import (
     AdamState,
     MIDPOINT_UNROLL,
+    _batch_arrays,
+    _on_tape,
     adam_update,
     init_model,
     load_model,
@@ -23,6 +27,7 @@ from modfield.neural import (
     step_loss,
     step_loss_and_grad,
 )
+from modfield.systems import get_system
 from modfield.training import DatasetRecord
 
 
@@ -168,11 +173,12 @@ def test_scheme_step_per_record_steps(pendulum, rng):
     assert np.allclose(scheme_step(model, "rk2", y, h), rows, atol=1e-14)
 
 
-def _synthetic_batch(pendulum, model, n, seed, h_range=(0.1, 0.5)):
+def _synthetic_batch(base, model, n, seed, h_range=(0.1, 0.5)):
     rng = np.random.default_rng(seed)
-    y0 = rng.uniform(-1.5, 1.5, size=(n, 2))
+    d = base.dim
+    y0 = rng.uniform(-1.5, 1.5, size=(n, d))
     h = rng.uniform(*h_range, size=n)
-    y1 = scheme_step(model, "euler", y0, h) + 1e-3 * rng.standard_normal((n, 2))
+    y1 = scheme_step(model, "euler", y0, h) + 1e-3 * rng.standard_normal((n, d))
     return [DatasetRecord(y0=a, h=float(b), y1=c) for a, b, c in zip(y0, h, y1)]
 
 
@@ -198,28 +204,74 @@ def test_step_loss_permutation_invariant(pendulum):
     assert a == pytest.approx(b, rel=1e-12)
 
 
-@pytest.mark.parametrize("scheme", ["euler", "rk2", "midpoint"])
-def test_gradients_match_finite_differences(pendulum, scheme):
-    p = 2 if scheme in ("rk2", "midpoint") else 1
-    for n_terms in (1, 3):
-        model = init_model(pendulum, scheme, p, n_terms, (8, 8), seed=11)
-        batch = _synthetic_batch(pendulum, model, 16, seed=13)
-        loss, grad = step_loss_and_grad(model, scheme, batch)
-        assert loss == pytest.approx(step_loss(model, scheme, batch),
-                                     rel=1e-12)
-        assert grad.shape == model.theta.shape
-        rng = np.random.default_rng(17)
-        eps = 1e-6
-        # entries of theta itself: the layer views the forward pass reads
-        for i in rng.integers(model.theta.size, size=12):
-            keep = model.theta[i]
-            model.theta[i] = keep + eps
-            up = step_loss(model, scheme, batch)
-            model.theta[i] = keep - eps
-            dn = step_loss(model, scheme, batch)
-            model.theta[i] = keep
-            fd = (up - dn) / (2 * eps)
-            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+@pytest.mark.parametrize("scheme", ["euler", "rk2", "rk2_heun", "midpoint"])
+def test_gradients_match_finite_differences(scheme):
+    p = 1 if scheme == "euler" else 2
+    # the rigid body (d = 3) multiplies state columns on the tape
+    for system in ("pendulum", "rigid_body"):
+        base = get_system(system)
+        for n_terms in (1, 3):
+            model = init_model(base, scheme, p, n_terms, (8, 8), seed=11)
+            batch = _synthetic_batch(base, model, 16, seed=13)
+            loss, grad = step_loss_and_grad(model, scheme, batch)
+            assert loss == pytest.approx(step_loss(model, scheme, batch),
+                                         rel=1e-12)
+            assert grad.shape == model.theta.shape
+            rng = np.random.default_rng(17)
+            eps = 1e-6
+            # entries of theta itself: the layer views the forward pass reads
+            for i in rng.integers(model.theta.size, size=12):
+                keep = model.theta[i]
+                model.theta[i] = keep + eps
+                up = step_loss(model, scheme, batch)
+                model.theta[i] = keep - eps
+                dn = step_loss(model, scheme, batch)
+                model.theta[i] = keep
+                fd = (up - dn) / (2 * eps)
+                assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+def _tape_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+@pytest.mark.parametrize("scheme, p, passes", [
+    ("euler", 1, 1), ("rk2", 2, 2), ("midpoint", 2, MIDPOINT_UNROLL)])
+def test_tape_has_one_leaf_per_net_and_one_node_per_pass(pendulum, scheme,
+                                                         p, passes):
+    model = init_model(pendulum, scheme, p, 3, (8, 8), seed=11)
+    batch = _synthetic_batch(pendulum, model, 16, seed=13)
+    nets = _on_tape(model.nets)
+    assert len(nets) == len(model.nets)
+    for net, taped in zip(model.nets, nets):
+        assert isinstance(taped.vector, Var) and taped.vector.parents == ()
+        assert np.shares_memory(taped.vector.value, net.vector)
+    taped_model = copy.copy(model)
+    taped_model.term_nets, taped_model.remainder_net = nets[:-1], nets[-1]
+    y0, h, y1 = _batch_arrays(batch)
+    resid = scheme_step(taped_model, scheme, y0, h) - y1
+    loss = weighted_sumsq(resid, h ** (-(2 * p + 2))) * (1.0 / len(batch))
+    graph = _tape_nodes(loss)
+    leaves = {id(net.vector) for net in nets}
+    # every parameter reaches the tape through its net's one leaf
+    assert {id(n) for n in graph if not n.parents} == leaves
+    for taped in nets:
+        users = [n for n in graph if any(q is taped.vector for q in n.parents)]
+        assert len(users) == passes
+    backward(loss)
+    _, grad = step_loss_and_grad(model, scheme, batch)
+    k = 0
+    for net, taped in zip(model.nets, nets):
+        assert taped.vector.grad.shape == net.vector.shape
+        assert np.array_equal(taped.vector.grad, grad[k:k + net.vector.size])
+        k += net.vector.size
 
 
 def test_gradient_divergence_names_record(pendulum):

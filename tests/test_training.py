@@ -13,6 +13,7 @@ from modfield.modified_field import truncated_field
 from modfield.neural import init_model, mlp_forward, mlp_init
 from modfield.training import (
     _draw_state,
+    _regress_loss_and_grad,
     Dataset,
     TrainConfig,
     alt_extract_targets,
@@ -436,6 +437,32 @@ def test_alt_train_worker_independent(pendulum):
     for n, c in zip(nets, copies):
         assert all(np.array_equal(w, wc) for w, wc in zip(n.weights, c.weights))
         assert all(np.array_equal(b, bc) for b, bc in zip(n.biases, c.biases))
+
+
+@pytest.mark.parametrize("sizes", [[2, 8, 8, 2], [3, 8, 8, 2]])
+def test_regression_gradient_matches_finite_differences(sizes):
+    """The per-term regression loss of one batch, term net and remainder."""
+    rng = np.random.default_rng(31)
+    net = mlp_init(sizes, [31, len(sizes)])
+    x = rng.uniform(-1.5, 1.5, size=(24, sizes[0]))
+    t = rng.standard_normal((24, sizes[-1]))
+
+    def loss():
+        return float(np.mean(np.sum((mlp_forward(net, x) - t) ** 2, axis=-1)))
+
+    value, grad = _regress_loss_and_grad(net, x, t)
+    assert value == pytest.approx(loss(), rel=1e-12)
+    assert grad.shape == net.vector.shape
+    eps = 1e-6
+    for i in rng.integers(net.vector.size, size=16):
+        keep = net.vector[i]
+        net.vector[i] = keep + eps
+        up = loss()
+        net.vector[i] = keep - eps
+        dn = loss()
+        net.vector[i] = keep
+        assert grad[i] == pytest.approx((up - dn) / (2 * eps),
+                                        rel=1e-5, abs=1e-10)
 
 
 def test_alt_train_wants_one_net_per_target(pendulum):
