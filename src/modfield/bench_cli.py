@@ -16,6 +16,7 @@ and per-term training jobs.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -113,6 +114,18 @@ def _floats(text):
 
 def _ints(text):
     return [int(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _check_steps(args):
+    """Every ``--h``, ``--h-list`` entry and ``--T`` given must be finite
+    and > 0; otherwise a usage error naming the flag."""
+    given = [("--T", getattr(args, "T", None)),
+             ("--h", getattr(args, "h", None))]
+    given += [("--h-list", h)
+              for h in _floats(getattr(args, "h_list", None) or "")]
+    for flag, value in given:
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
 
 
 def _sim_defaults(cfg):
@@ -543,6 +556,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_steps(args)
         return args.func(args)
     except (UnsupportedTruncationError, CheckpointError, ValueError,
             KeyError, OSError) as exc:

@@ -3,15 +3,24 @@
 Data records are exact one-step flows: ``y1 = flow(y0, h)`` with ``y0``
 uniform on a box (optionally restricted to a norm shell) and ``log h``
 uniform on ``[log h_min, log h_max]``.  Record ``i`` draws from its own
-generator seeded ``[seed, i]``, so the dataset is reproducible and
-independent of chunking or worker count.  Failed reference flows are
-resampled from the same per-record stream and counted.
+generator, bit for bit ``np.random.default_rng([seed, i])``, so the
+dataset is reproducible from the seed alone and independent of chunking
+or worker count.  Failed reference flows are resampled from the same
+per-record stream and counted.
 
 Stream contract: a record consumes exactly the doubles that drawing one
 state at a time would, ``d`` per candidate state (in order, rejected ones
 included) and then one for ``log h``.  The shell sampler looks ahead in
 blocks on a copy of the generator and then takes the same number of
 draws from the generator itself, so blocking changes no dataset.
+
+Record generators are built in bulk (``_record_rngs``): NumPy's
+``SeedSequence`` hash, which its stream-compatibility policy (NEP 19)
+freezes, runs once over every record's entropy ``[seed, i]`` as wrapping
+``uint32`` array arithmetic, and each ``PCG64`` takes its four seed
+words from that table.  A record generator keeps its words, so a copy is
+a new ``PCG64`` from the same words set to the same position, which is
+far cheaper than copying through pickling.
 
 The standard method trains all networks jointly through the integrator
 step.  The alternative method first extracts per-term targets from flows
@@ -21,6 +30,7 @@ independently (parallelizable, one job per network).
 
 import copy
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -124,6 +134,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def domain(self):
         return DomainBox(np.asarray(self.omega_lower, dtype=float),
@@ -240,6 +254,94 @@ def get_preset(name):
 _MAX_DRAWS = 10_000  # candidates tried before a shell draw gives up
 _BLOCK = 256  # candidates drawn per look-ahead block
 
+_U32 = 0xFFFF_FFFF
+
+
+def _record_words(seed, start, stop):
+    """Row ``k`` is ``SeedSequence([seed, start + k]).generate_state(4,
+    np.uint64)``, for every record at once.
+
+    The entropy is the seed's little-endian 32-bit words (at least one)
+    and then the record index; an index needs one word, so it must be
+    below 2**32.  The hash is NumPy's ``SeedSequence``: a pool of four
+    words, ``hashmix`` with ``INIT_A``/``MULT_A``, ``mix``, and the
+    output hash with ``INIT_B``/``MULT_B``, all on ``uint32`` arrays.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= start <= stop <= 2**32:
+        raise ValueError(f"record indices [{start}, {stop}) must lie in "
+                         "[0, 2**32)")
+    n = stop - start
+    entropy = []
+    while True:
+        entropy.append(np.full(n, seed & _U32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(np.arange(start, stop, dtype=np.uint64).astype(np.uint32))
+
+    def hasher(const, mult):
+        def hash_(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _U32
+            value = value * const
+            return value ^ (value >> 16)
+        return hash_
+
+    def mix(x, y):
+        r = x * 0xCA01F9DD - y * 0x4973F715
+        return r ^ (r >> 16)
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero)
+            for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # eight 32-bit output words, cycling over the pool, paired
+    # little-endian into four 64-bit words
+    out = hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    state = [out(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32)
+                     for j in range(4)], axis=1)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Fixed ``PCG64`` seed words, given through NumPy's seed interface."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class _RecordRng(np.random.Generator):
+    """A record's generator from its seed words; copies without pickling."""
+
+    def __init__(self, words):
+        super().__init__(np.random.PCG64(_SeedWords(words)))
+        self.words = words
+
+    def __deepcopy__(self, memo):
+        twin = _RecordRng(self.words)
+        twin.bit_generator.state = self.bit_generator.state
+        return twin
+
+
+def _record_rngs(seed, start, stop):
+    """Generators of records [start, stop), each bit for bit
+    ``np.random.default_rng([seed, i])``."""
+    return [_RecordRng(w) for w in _record_words(seed, start, stop)]
+
 
 def _draw_state(rng, box):
     """One state of ``box``: a uniform draw, rejected until in the shell.
@@ -293,7 +395,7 @@ def _generate_range(cfg, start, stop):
     box = cfg.domain()
     log_lo, log_hi = math.log(cfg.h_min), math.log(cfg.h_max)
     n = stop - start
-    rngs = [np.random.default_rng([cfg.seed, i]) for i in range(start, stop)]
+    rngs = _record_rngs(cfg.seed, start, stop)
     y0 = np.empty((n, field_.dim))
     h = np.empty(n)
     for k, rng in enumerate(rngs):
@@ -613,7 +715,7 @@ def build_alt_training_data(cfg, workers=1):
     field_ = get_system(cfg.system)
     box = cfg.domain()
     K = int(cfg.n_records)
-    rngs = [np.random.default_rng([cfg.seed, i]) for i in range(K)]
+    rngs = _record_rngs(cfg.seed, 0, K)
     X = np.empty((K, field_.dim))
     for i, rng in enumerate(rngs):
         X[i] = _draw_record_state(rng, box, i)

@@ -329,7 +329,9 @@ def test_bad_worker_count_is_a_usage_error(tmp_path, cfg_file, capsys,
 
 @pytest.mark.parametrize("line", ["batch_size=0", "batch_size=-5",
                                   "epochs=-1", "learning_rate=-1",
-                                  "learning_rate=0", "tol=0"])
+                                  "learning_rate=0", "tol=0",
+                                  "weight_decay=-5", "weight_decay=nan",
+                                  "weight_decay=inf", "seed=-1"])
 def test_bad_training_value_is_a_usage_error(tmp_path, cfg_file, capsys,
                                             line):
     cfg = tmp_path / "bad.cfg"
@@ -340,6 +342,50 @@ def test_bad_training_value_is_a_usage_error(tmp_path, cfg_file, capsys,
     assert rc == 2
     assert line.split("=")[0] in capsys.readouterr().err
     assert not (out / "model.json").exists()
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, cfg_file, capsys):
+    out = tmp_path / "o"
+    rc = main(["generate", "--config", cfg_file, "--seed", "-1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def untrained(tmp_path_factory):
+    path = tmp_path_factory.mktemp("untrained") / "model.json"
+    save_model(init_model(get_system("pendulum"), "euler", 1, 2, (6,), 0),
+               path)
+    return str(path)
+
+
+# one bad step or horizon per command: zero (once a ZeroDivisionError),
+# negative, non-finite
+@pytest.mark.parametrize("command, flag, value", [
+    ("field-error-map", "--h", "0"),
+    ("field-error-map", "--h-list", "0.1,-0.1"),
+    ("convergence", "--T", "-1"),
+    ("convergence", "--T", "nan"),
+    ("convergence", "--h-list", "-0.1"),
+    ("efficiency", "--h-list", "0"),
+    ("efficiency", "--T", "inf"),
+    ("invariant-drift", "--h", "0"),
+    ("invariant-drift", "--T", "0"),
+    ("compare-alt", "--h-list", "0"),
+    ("compare-alt", "--T", "-inf"),
+])
+def test_bad_step_or_horizon_is_a_usage_error(tmp_path, cfg_file, untrained,
+                                              capsys, command, flag, value):
+    models = (["--model-std", untrained, "--model-alt", untrained]
+              if command == "compare-alt" else ["--model", untrained])
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg_file, *models, "--out", str(out),
+               f"{flag}={value}"])
+    assert rc == 2
+    assert f"{flag} must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_tolerance_is_a_usage_error(tmp_path, cfg_file, capsys):

@@ -13,6 +13,8 @@ from modfield.modified_field import truncated_field
 from modfield.neural import init_model, mlp_forward, mlp_init
 from modfield.training import (
     _draw_state,
+    _record_rngs,
+    _record_words,
     _regress_loss_and_grad,
     Dataset,
     TrainConfig,
@@ -192,6 +194,59 @@ def test_sampler_keeps_the_one_at_a_time_stream(cfg):
         rng = np.random.default_rng([cfg.seed, i])
         _draw_state(rng, box)
         assert rng.random() == after
+
+
+# one to four seed words; 2**100 + 5 puts the index past the 4-word pool
+RECORD_SEEDS = [0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 7, 2**100 + 5]
+
+
+@pytest.mark.parametrize("seed", RECORD_SEEDS)
+def test_record_words_are_the_seed_sequence_state(seed):
+    # 19_999 and 20_000 straddle generate_dataset's chunk edge
+    for start, stop in [(0, 3), (19_999, 20_001), (123_456, 123_458)]:
+        words = _record_words(seed, start, stop)
+        assert words.shape == (stop - start, 4)
+        assert words.dtype == np.uint64
+        for k, i in enumerate(range(start, stop)):
+            want = np.random.SeedSequence([seed, i]).generate_state(
+                4, np.uint64)
+            assert np.array_equal(words[k], want), (seed, i)
+
+
+@pytest.mark.parametrize("seed", RECORD_SEEDS)
+def test_record_rngs_draw_what_default_rng_draws(seed):
+    rngs = _record_rngs(seed, 5, 9)
+    assert len(rngs) == 4
+    for i, rng in zip(range(5, 9), rngs):
+        ref = np.random.default_rng([seed, i])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.uniform(-2.0, 2.0, size=(7, 3)),
+                              ref.uniform(-2.0, 2.0, size=(7, 3)))
+        assert rng.random() == ref.random()
+
+
+def test_record_rng_copy_continues_the_stream():
+    rng = _record_rngs(8, 3, 4)[0]
+    ref = np.random.default_rng([8, 3])
+    rng.uniform(size=5)
+    ref.uniform(size=5)
+    twin = copy.deepcopy(rng)
+    assert type(twin) is type(rng)
+    ahead = twin.uniform(size=(300, 3))
+    # the original stays where it was: it draws what the copy drew
+    assert np.array_equal(rng.uniform(size=(300, 3)), ahead)
+    assert np.array_equal(ahead, ref.uniform(size=(300, 3)))
+    assert twin.random() == rng.random() == ref.random()
+
+
+def test_record_index_must_fit_one_entropy_word():
+    words = _record_words(7, 2**32 - 1, 2**32)
+    want = np.random.SeedSequence([7, 2**32 - 1]).generate_state(4, np.uint64)
+    assert np.array_equal(words[0], want)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _record_words(7, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(ValueError, match="seed"):
+        _record_rngs(-1, 0, 3)
 
 
 def test_unreachable_shell_names_the_record():
