@@ -297,19 +297,23 @@ def cmd_efficiency(args):
     if args.repeats < 3:
         raise ValueError("--repeats must be >= 3")
     cfg = _resolve_cfg(args)
-    out = _outdir(args)
     model = neural.load_model(args.model)
     base = model.base
     scheme = model.scheme
+    ks = _ints(args.k_list)
+    k_max = modified_field.max_truncation(scheme)
+    for k in ks:
+        if not 2 <= k <= k_max:
+            raise ValueError(f"--k-list entry {k} is outside 2..{k_max}, "
+                             f"the truncations scheme {scheme!r} has")
+    out = _outdir(args)
     stepper = get_stepper(scheme)
     T = args.T if args.T is not None else _sim_defaults(cfg)[0]
     h0 = _sim_defaults(cfg)[1]
     hs = (_floats(args.h_list) if args.h_list
           else [h0 * 2.0**-j for j in range(3)])
     tols = _floats(args.tol_list)
-    ks = _ints(args.k_list)
     y0 = _y0_for(args, base.name)
-    k_max = modified_field.max_truncation(scheme)
 
     rows = []
     for h in hs:
@@ -318,10 +322,8 @@ def cmd_efficiency(args):
         ref = reference_trajectory(base, y0, times_grid, tol=1e-12)
         fields = [("scheme_f", base), ("scheme_fapp", model)]
         for k in ks:
-            if 2 <= k <= k_max:
-                fields.append(
-                    (f"scheme_trunc_k{k}",
-                     modified_field.truncated_field(base, scheme, k)))
+            fields.append((f"scheme_trunc_k{k}",
+                           modified_field.truncated_field(base, scheme, k)))
         for name, fld in fields:
             seconds, states = _timed(
                 lambda fld=fld: integrate(stepper, fld, y0, h, n).states,
@@ -393,23 +395,23 @@ def cmd_param_study(args):
     # the reference keeps four terms, or as many as the scheme has
     trunc = modified_field.truncated_field(
         base, cfg.scheme, min(4, modified_field.max_truncation(cfg.scheme)))
+    # every grid point's config is checked before any data is generated
+    subs = [(depth, replace(cfg, hidden=(width,) * depth, n_records=K))
+            for K in sizes for depth in depths for width in widths]
     rows = []
-    for K in sizes:
-        for depth in depths:
-            for width in widths:
-                sub = replace(cfg, hidden=(width,) * depth, n_records=K)
-                ds = training.generate_dataset(sub, workers=_workers())
-                train_set, test_set = training.split_dataset(
-                    ds, sub.train_fraction, sub.seed)
-                model = neural.init_model(base, sub.scheme, sub.p,
-                                          sub.n_terms, sub.hidden, sub.seed)
-                model, _report = training.train(model, sub.scheme, train_set,
-                                                test_set, sub)
-                delta = training.learning_error_delta(
-                    model, trunc, box, args.grid_n, hs)
-                # weight count only; biases left out of the abscissa
-                w = sum(wt.size for net in model.nets for wt in net.weights)
-                rows.append([w, depth, K, delta, np.sqrt(w)])
+    for depth, sub in subs:
+        ds = training.generate_dataset(sub, workers=_workers())
+        train_set, test_set = training.split_dataset(
+            ds, sub.train_fraction, sub.seed)
+        model = neural.init_model(base, sub.scheme, sub.p,
+                                  sub.n_terms, sub.hidden, sub.seed)
+        model, _report = training.train(model, sub.scheme, train_set,
+                                        test_set, sub)
+        delta = training.learning_error_delta(
+            model, trunc, box, args.grid_n, hs)
+        # weight count only; biases left out of the abscissa
+        w = sum(wt.size for net in model.nets for wt in net.weights)
+        rows.append([w, depth, sub.n_records, delta, np.sqrt(w)])
     path = out / "param_study.csv"
     _write_csv(path, "param-study", cfg.seed,
                ["params_w", "depth", "data_K", "delta", "sqrt_w"], rows)

@@ -291,6 +291,30 @@ _BETA = 0.04  # PI stabilisation
 _EXPO = 0.2 - 0.75 * _BETA
 
 
+def _dopri5_plan():
+    """DOPRI5's nonzero ``a_ij`` as one vector, and for each stage ``i``
+    the ``(k, j)`` pairs that add ``a[k] * h * k_j`` to its input."""
+    a = _TABLEAUS["dopri5"].a
+    coeffs, rows = [], []
+    for i in range(a.shape[0]):
+        rows.append([])
+        for j in range(i):
+            if a[i, j] != 0.0:
+                rows[i].append((len(coeffs), j))
+                coeffs.append(a[i, j])
+    return np.array(coeffs), rows
+
+
+_DP_A, _DP_ROWS = _dopri5_plan()
+
+
+def _rms(x, sc):
+    """Row RMS of ``x / sc``, summed and divided as ``np.mean`` does."""
+    q = x / sc
+    q *= q
+    return np.sqrt(np.add.reduce(q, axis=1) / x.shape[1])
+
+
 def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
                         collect=False):
     """Integrate each row of ``y0`` to its own end time adaptively.
@@ -308,19 +332,30 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
 
     With ``collect=True`` (single record only) additionally returns the
     accepted ``(times, states)`` history.
+
+    The loop's contract is that each record's arithmetic is fixed: every
+    output bit is pinned by the tests, so a rewrite may change how the
+    operations are issued (one ``h a_ij`` array per step, norms reduced as
+    ``np.mean`` reduces) but not which floating-point operations a record
+    sees.  One-row calls (every reference-trajectory segment) and wide
+    calls (dataset generation) share this one loop.  The field is called
+    on arrays it must not modify.  Two known speed-ups are left out on
+    purpose: reusing the last stage as the next step's first (FSAL) rounds
+    differently from ``y_new``, so it would move every output bit; and a
+    controller that lands on each output time instead of restarting costs
+    accuracy (``|ref(1e-12) - ref(1e-13)|`` grew from 8.8e-14 to about
+    2.5e-13 when tried).
     """
     if not (math.isfinite(atol) and math.isfinite(rtol)
             and atol > 0 and rtol >= 0):
         raise ValueError(f"need finite atol > 0 and rtol >= 0, got "
                          f"atol={atol!r}, rtol={rtol!r}")
     tab = _TABLEAUS["dopri5"]
-    A, B, C = tab.a, tab.b, tab.c
-    E = B - tab.b_emb
-    n_stages = tab.stages
+    B, E = tab.b, tab.b - tab.b_emb
 
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
     t_end = np.asarray(t_end, dtype=float)
-    n = y0.shape[0]
+    n, d = y0.shape
     if t_end.shape != (n,):
         raise ValueError("t_end must have one entry per record")
     if collect and n != 1:
@@ -330,69 +365,71 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
     out_ok = np.ones(n, dtype=bool)
     out_reached = np.where(t_end > 0, 0.0, t_end)
 
-    live = np.flatnonzero(t_end > 0)
-    if live.size == 0:
+    idx = np.flatnonzero(t_end > 0)
+    if idx.size == 0:
         if collect:
             return out_y, out_ok, out_reached, (np.zeros(1), y0.copy())
         return out_y, out_ok, out_reached
 
-    idx = live.copy()
     y = y0[idx]
     tend = t_end[idx]
     t = np.zeros(idx.size)
-
-    def F(yv, hv):
-        return np.asarray(field(yv, hv), dtype=float)
+    h_floor = 1e-13 * np.maximum(1.0, tend)
 
     # starting step heuristic (one Euler probe)
     sc = atol + rtol * np.abs(y)
-    f0 = F(y, np.zeros(idx.size))
-    d0 = np.sqrt(np.mean((y / sc) ** 2, axis=1))
-    d1 = np.sqrt(np.mean((f0 / sc) ** 2, axis=1))
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-300))
+    f0 = np.asarray(field(y, np.zeros(idx.size)), dtype=float)
+    d0 = _rms(y, sc)
+    d1 = _rms(f0, sc)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
+                  0.01 * d0 / np.maximum(d1, 1e-300))
     h0 = np.minimum(h0, tend)
-    f1 = F(y + h0[:, None] * f0, h0)
-    d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2, axis=1)) / h0
+    f1 = np.asarray(field(y + h0[:, None] * f0, h0), dtype=float)
+    d2 = _rms(f1 - f0, sc) / h0
     dmax = np.maximum(d1, d2)
-    h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / dmax) ** 0.2)
+    h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / dmax) ** 0.2)
     h = np.minimum(np.minimum(100.0 * h0, h1), tend)
 
     facold = np.full(idx.size, 1e-4)
-    nsteps = np.zeros(idx.size, dtype=int)
     hist_t, hist_y = [0.0], [y0[0].copy()]
 
-    while idx.size:
-        nsteps += 1
-        final = h >= tend - t
-        h_try = np.where(final, tend - t, h)
+    step = 0
+    while True:
+        step += 1
+        rem = tend - t
+        final = h >= rem
+        h_try = np.where(final, rem, h)
+        hc = h_try[:, None]
+        # ha[k] is a_ij h per row as a contiguous (n, 1) column, like hc
+        ha = np.multiply.outer(_DP_A, h_try)[..., None]
 
-        ks = np.empty((n_stages, idx.size, y.shape[1]))
-        for i in range(n_stages):
-            yi = y.copy()
-            for j in range(i):
-                aij = A[i, j]
-                if aij != 0.0:
-                    yi += (h_try * aij)[:, None] * ks[j]
-            ks[i] = F(yi, h_try)
-        y_new = y + h_try[:, None] * np.einsum("s,snd->nd", B, ks)
-        err_vec = h_try[:, None] * np.einsum("s,snd->nd", E, ks)
+        ks = np.empty((tab.stages, y.shape[0], d))
+        ks[0] = field(y, h_try)
+        for i in range(1, tab.stages):
+            (k, j), *rest = _DP_ROWS[i]
+            yi = y + ha[k] * ks[j]
+            for k, j in rest:
+                yi += ha[k] * ks[j]
+            ks[i] = field(yi, h_try)
+        y_new = y + hc * np.einsum("s,snd->nd", B, ks)
+        err_vec = hc * np.einsum("s,snd->nd", E, ks)
 
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            err = np.sqrt(np.mean((err_vec / sc) ** 2, axis=1))
-        bad = ~np.isfinite(err) | ~np.all(np.isfinite(y_new), axis=1)
-        err = np.where(bad, np.inf, np.maximum(err, 1e-300))
-
-        accept = err <= 1.0
-        with np.errstate(over="ignore"):
-            fac = err ** (-_EXPO)
-        grow = np.clip(_SAFETY * fac * facold**_BETA, _FAC_MIN, _FAC_MAX)
-        shrink = np.clip(_SAFETY * fac, _FAC_MIN, 1.0)
+            err = _rms(err_vec, sc)
+            good = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
+            err = np.where(good, np.maximum(err, 1e-300), np.inf)
+            accept = err <= 1.0
+            fac = _SAFETY * err ** (-_EXPO)
+            grow = np.minimum(np.maximum(fac * facold**_BETA, _FAC_MIN),
+                              _FAC_MAX)
+            shrink = np.minimum(np.maximum(fac, _FAC_MIN), 1.0)
 
         t = np.where(accept, t + h_try, t)
         y = np.where(accept[:, None], y_new, y)
         facold = np.where(accept, np.maximum(err, 1e-4), facold)
-        h = np.where(accept, h_try * grow, h_try * shrink)
+        h = h_try * np.where(accept, grow, shrink)
 
         if collect and accept[0]:
             hist_t.append(float(t[0]))
@@ -400,18 +437,21 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
 
         done = accept & final
         t = np.where(done, tend, t)
-        h_floor = 1e-13 * np.maximum(1.0, tend)
         # a NaN step fails too
-        failed = ~done & (~(h >= h_floor) | (nsteps >= max_steps))
-
-        if np.any(done) or np.any(failed):
+        failed = ~(done | (h >= h_floor))
+        if step >= max_steps:
+            failed = ~done
+        out = done | failed
+        if out.any():
             out_y[idx] = y
             out_reached[idx] = t
             out_ok[idx[failed]] = False
-            keep = ~(done | failed)
-            idx, y, t, tend, h, facold, nsteps = (
+            keep = ~out
+            if not keep.any():
+                break
+            idx, y, t, tend, h, facold, h_floor = (
                 idx[keep], y[keep], t[keep], tend[keep],
-                h[keep], facold[keep], nsteps[keep],
+                h[keep], facold[keep], h_floor[keep],
             )
 
     if collect:

@@ -45,6 +45,11 @@ from .systems import get_system
 CHECKPOINT_VERSION = 1
 
 
+def _check_layer_sizes(sizes):
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError(f"need >= 2 positive layer sizes, got {sizes}")
+
+
 @dataclass
 class MlpParams:
     """Dense MLP: tanh on hidden layers, identity on the output layer.
@@ -61,8 +66,7 @@ class MlpParams:
 
     def __post_init__(self):
         sizes = list(self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError("need >= 2 positive layer sizes")
+        _check_layer_sizes(sizes)
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("one weight/bias pair per layer transition")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -96,6 +100,7 @@ def mlp_init(layer_sizes, seed):
     """Glorot-uniform weights, zero biases, reproducible from the seed."""
     rng = np.random.default_rng(seed)
     sizes = [int(s) for s in layer_sizes]
+    _check_layer_sizes(sizes)  # before a zero width divides by zero below
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))

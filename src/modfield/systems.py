@@ -48,7 +48,10 @@ class VectorFieldSpec:
             raise ValueError(
                 f"state has last dimension {y.shape[-1]}, expected {self.dim}"
             )
-        return jets.stack(self.components(jets.split(y)))
+        out = np.empty(y.shape)
+        for i, c in enumerate(self.component_fn(jets.split(y))):
+            out[..., i] = c
+        return out
 
     def negated(self):
         """The time-reversed field ``y' = -f(y)``."""

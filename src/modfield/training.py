@@ -42,7 +42,8 @@ import numpy as np
 from . import _tape, neural
 from .errors import (ConditioningError, DomainSamplingError,
                      IntegrationFailureError, TrainingDivergedError)
-from .integrators import adaptive_flow_batch, box_grid, canonical_scheme
+from .integrators import (adaptive_flow_batch, box_grid, canonical_scheme,
+                          get_tableau)
 from .systems import DomainBox, get_system
 
 
@@ -126,6 +127,16 @@ class TrainConfig:
             raise ValueError("n_records must be >= 0")
         if self.p < 1 or self.n_terms < 1 or self.n_steps < 1:
             raise ValueError("p, n_terms, n_steps must be >= 1")
+        try:
+            order = get_tableau(self.scheme).order
+        except ValueError as exc:
+            raise ValueError(f"scheme: {exc}") from None
+        if self.p != order:
+            raise ValueError(f"p must be the order of scheme "
+                             f"{self.scheme!r}, {order}; got {self.p}")
+        if not self.hidden or any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden must list one or more widths >= 1, "
+                             f"got {self.hidden!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

@@ -273,6 +273,23 @@ def test_param_study_rk2(tmp_path):
     assert np.isfinite(delta) and delta > 0
 
 
+@pytest.mark.parametrize("flag, value", [("--widths", "0"),
+                                         ("--widths", "4,0"),
+                                         ("--depths", "0")])
+def test_param_study_zero_width_fails_before_generating(
+        tmp_path, cfg_file, capsys, monkeypatch, flag, value):
+    def no_data(*args, **kwargs):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr("modfield.training.generate_dataset", no_data)
+    rc = main(["param-study", "--config", cfg_file,
+               "--out", str(tmp_path / "ps"), "--widths", "4",
+               "--depths", "1", "--data-sizes", "30", f"{flag}={value}"])
+    assert rc == 2
+    assert "hidden must list one or more widths >= 1" in (
+        capsys.readouterr().err)
+
+
 def test_compare_alt(tmp_path, cfg_file, trained):
     _, model_std = trained
     alt_out = tmp_path / "alt"
@@ -331,7 +348,9 @@ def test_bad_worker_count_is_a_usage_error(tmp_path, cfg_file, capsys,
                                   "epochs=-1", "learning_rate=-1",
                                   "learning_rate=0", "tol=0",
                                   "weight_decay=-5", "weight_decay=nan",
-                                  "weight_decay=inf", "seed=-1"])
+                                  "weight_decay=inf", "seed=-1",
+                                  "hidden=0", "hidden=6,0", "scheme=rk4",
+                                  "scheme=rk2", "p=2"])
 def test_bad_training_value_is_a_usage_error(tmp_path, cfg_file, capsys,
                                             line):
     cfg = tmp_path / "bad.cfg"
@@ -385,6 +404,21 @@ def test_bad_step_or_horizon_is_a_usage_error(tmp_path, cfg_file, untrained,
                f"{flag}={value}"])
     assert rc == 2
     assert f"{flag} must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_list, bad", [("-1", "-1"), ("1", "1"),
+                                         ("2,6", "6"), ("0,3", "0")])
+def test_efficiency_k_outside_the_scheme_is_a_usage_error(
+        tmp_path, cfg_file, untrained, capsys, k_list, bad):
+    out = tmp_path / "eff"
+    rc = main(["efficiency", "--config", cfg_file, "--model", untrained,
+               "--out", str(out), "--T", "1.0", "--h-list", "0.25",
+               "--tol-list", "1e-6", f"--k-list={k_list}", "--repeats", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--k-list entry {bad} is outside 2..5" in err
+    assert "'euler'" in err
     assert not out.exists()
 
 

@@ -141,17 +141,18 @@ def test_integrate_annotates_failing_step():
     assert info.value.step_index is not None
 
 
-def test_adaptive_flow_batch_matches_scalar(pendulum, rng):
-    y0 = rng.uniform(-2, 2, size=(5, 2))
+def test_adaptive_flow_batch_matches_scalar(pendulum, rigid_body, rng):
     t = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-    batch, ok, _ = adaptive_flow_batch(pendulum, y0, t, 1e-10, 1e-10)
-    assert np.all(ok)
-    for i in range(5):
-        single, ok1, _ = adaptive_flow_batch(pendulum, y0[i:i + 1],
-                                             t[i:i + 1], 1e-10, 1e-10)
-        assert ok1[0]
-        # batching must not change a single record's arithmetic at all
-        assert np.array_equal(batch[i], single[0])
+    for field in (pendulum, rigid_body):
+        y0 = rng.uniform(-2, 2, size=(5, field.dim))
+        batch, ok, _ = adaptive_flow_batch(field, y0, t, 1e-10, 1e-10)
+        assert np.all(ok)
+        for i in range(5):
+            single, ok1, _ = adaptive_flow_batch(field, y0[i:i + 1],
+                                                 t[i:i + 1], 1e-10, 1e-10)
+            assert ok1[0]
+            # batching must not change a single record's arithmetic at all
+            assert np.array_equal(batch[i], single[0])
 
 
 def test_adaptive_flow_reports_failure():

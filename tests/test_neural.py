@@ -48,6 +48,14 @@ def test_mlp_init_glorot_bounds():
         assert np.array_equal(w1, w2)
 
 
+@pytest.mark.parametrize("sizes", [[2, 0, 2], [2, 0, 0, 2], [2, 50, -1, 2],
+                                   [2]])
+def test_mlp_init_rejects_a_zero_width(sizes):
+    # a zero width would divide by zero in the Glorot limit
+    with pytest.raises(ValueError, match="positive layer sizes"):
+        mlp_init(sizes, seed=0)
+
+
 def test_mlp_parameter_count():
     # 2*200+200 + 200*200+200 + 200*2+2
     assert mlp_init([2, 200, 200, 2], seed=1).n_params == 41_202

@@ -71,6 +71,29 @@ def test_config_validation():
         TrainConfig(n_steps=0)
 
 
+@pytest.mark.parametrize("kw, key", [
+    (dict(scheme="rk2"), "p must be the order of scheme 'rk2', 2; got 1"),
+    (dict(scheme="midpoint", p=1), "p must be the order"),
+    (dict(scheme="euler", p=3), "p must be the order"),
+    (dict(scheme="rk4"), "scheme: unknown scheme 'rk4'"),
+])
+def test_config_order_must_match_the_scheme(kw, key):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**kw)
+
+
+def test_config_accepts_each_scheme_at_its_order():
+    for scheme, p in (("euler", 1), ("rk2", 2), ("rk2_heun", 2),
+                      ("rk2_midpoint", 2), ("midpoint", 2)):
+        assert TrainConfig(scheme=scheme, p=p).p == p
+
+
+@pytest.mark.parametrize("hidden", [(), None, (0,), (0, 0), (50, 0), (-3,)])
+def test_config_rejects_empty_or_zero_hidden_width(hidden):
+    with pytest.raises(ValueError, match="hidden must list"):
+        TrainConfig(hidden=hidden)
+
+
 def test_config_domain_carries_shell():
     cfg = TrainConfig(omega_lower=(-2.0, -2.0, -2.0),
                       omega_upper=(2.0, 2.0, 2.0),
@@ -97,6 +120,7 @@ def test_parse_config_overrides_and_comments():
     cfg = parse_config("""
         # comment line
         scheme = rk2   # trailing comment
+        p = 2
         epochs = 4
         omega_shell =
         hidden = 12,34
