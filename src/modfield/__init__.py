@@ -6,17 +6,16 @@ A numerical method of order p applied to a perturbed field
 
 can follow the exact flow of ``f`` far more accurately than the method
 alone.  This package provides the analytic correction terms (Taylor-jet
-based, derived by order matching for any Runge-Kutta tableau), numerical
-extraction oracles for them, neural-network approximations of the
-corrections trained through the integrator step, rigorous error
-diagnostics, and a benchmark CLI.
+based, derived by order matching for any Runge-Kutta tableau),
+neural-network approximations of the corrections trained through the
+integrator step, grid estimates of the theorem's global error bound, and
+a benchmark CLI.
 """
 
-from .errors import (ConditioningError, ConditioningWarning,
-                     DomainSamplingError, FixedPointError,
-                     IntegrationFailureError,
-                     ModfieldError, StageOverflowError,
-                     TrainingDivergedError, UnsupportedTruncationError)
+from .errors import (ConditioningError, DomainSamplingError, FixedPointError,
+                     IntegrationFailureError, ModfieldError,
+                     StageOverflowError, TrainingDivergedError,
+                     UnsupportedTruncationError)
 from .integrators import (ButcherTableau, ErrorBoundInputs, Trajectory,
                           adaptive_flow_batch, box_grid, canonical_scheme,
                           dopri5_integrate, estimate_lipschitz, get_stepper,
@@ -24,15 +23,12 @@ from .integrators import (ButcherTableau, ErrorBoundInputs, Trajectory,
                           order_estimate, rk_step, scheme_names,
                           theorem_bound)
 from .jets import Jet, directional_derivative
-from .modified_field import (TruncatedModifiedField,
-                             extract_first_correction, midpoint_field_probe,
-                             midpoint_odd_coefficients, truncated_field)
+from .modified_field import TruncatedModifiedField, truncated_field
 from .neural import (AdamState, MlpParams, ModifiedFieldModel, adam_update,
                      init_model, load_model, mlp_forward, mlp_init,
                      save_model, scheme_step, step_loss, step_loss_and_grad)
 from .systems import (DomainBox, VectorFieldSpec, get_system, pendulum_field,
-                      reference_flow, reference_trajectory, rigid_body_field,
-                      system_names)
+                      reference_trajectory, rigid_body_field, system_names)
 from .training import (Dataset, DatasetRecord, LossReport, TrainConfig,
                        alt_extract_targets, alt_train,
                        build_alt_training_data, generate_dataset, get_preset,

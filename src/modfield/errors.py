@@ -89,7 +89,3 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointShapeError(CheckpointError):
     """Checkpoint parameter shapes are inconsistent with its metadata."""
-
-
-class ConditioningWarning(UserWarning):
-    """A fitted result came from an ill-conditioned least-squares system."""

@@ -4,8 +4,9 @@ Steppers call the field as ``field(y, h)``; plain vector fields ignore the
 second argument, step-dependent fields (truncated or learned modified
 fields) are evaluated at the step size actually taken.
 
-Also provides order measurement from error sequences, the a-priori global
-error bound for learned fields, and a grid-based Lipschitz estimator.
+Also provides order measurement from error sequences, the paper's global
+error bound for learned fields (an estimate when fed grid estimates of its
+inputs) and a grid-based Lipschitz estimator.
 """
 
 import math
@@ -184,21 +185,21 @@ def rk_step(tab, field, y, h):
                          checked=True)
 
 
-def implicit_midpoint_step(
-    field, y, h, fp_iters=50, fp_tol=1e-12, full_output=False
-):
+_FP_ITERS, _FP_TOL = 50, 1e-12  # midpoint fixed point: budget, tolerance
+
+
+def implicit_midpoint_step(field, y, h):
     """One implicit-midpoint step ``y1 = y + h f((y + y1)/2)``.
 
-    The stage equation is solved by fixed-point iteration from ``z = y``;
-    the iteration count and final residual are returned when
-    ``full_output`` is set.  Raises :class:`FixedPointError` (carrying the
-    residual) if the residual does not fall below ``fp_tol`` within
-    ``fp_iters`` iterations.
+    The stage equation is solved by fixed-point iteration from ``z = y``.
+    Raises :class:`FixedPointError` (carrying the residual) if the change
+    between iterates does not fall below ``_FP_TOL`` within ``_FP_ITERS``
+    iterations.
     """
     y = np.asarray(y, dtype=float)
     z = y
     residual = np.inf
-    for it in range(1, fp_iters + 1):
+    for it in range(1, _FP_ITERS + 1):
         z_new = y + h * np.asarray(field(0.5 * (y + z), h), dtype=float)
         if not np.all(np.isfinite(z_new)):
             raise FixedPointError(
@@ -208,15 +209,13 @@ def implicit_midpoint_step(
             )
         residual = float(np.max(np.abs(z_new - z)))
         z = z_new
-        if residual <= fp_tol:
-            if full_output:
-                return z, {"iterations": it, "residual": residual}
+        if residual <= _FP_TOL:
             return z
     raise FixedPointError(
-        f"fixed point not converged after {fp_iters} iterations "
-        f"(residual {residual:.3e} > {fp_tol:.3e})",
+        f"fixed point not converged after {_FP_ITERS} iterations "
+        f"(residual {residual:.3e} > {_FP_TOL:.3e})",
         residual=residual,
-        iterations=fp_iters,
+        iterations=_FP_ITERS,
     )
 
 
@@ -289,6 +288,7 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _BETA = 0.04  # PI stabilisation
 _EXPO = 0.2 - 0.75 * _BETA
+_MAX_STEPS = 200_000  # steps per call before unfinished records fail
 
 
 def _dopri5_plan():
@@ -315,8 +315,7 @@ def _rms(x, sc):
     return np.sqrt(np.add.reduce(q, axis=1) / x.shape[1])
 
 
-def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
-                        collect=False):
+def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     """Integrate each row of ``y0`` to its own end time adaptively.
 
     Embedded Dormand-Prince 5(4) pair with a PI step-size controller
@@ -325,8 +324,9 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
     one at a time.
 
     Returns ``(y, ok, t_reached)``.  Records whose step size underflows
-    (or is not a number) are flagged ``ok=False`` with the last reached
-    time; no exception is raised here so that callers may resample.
+    (or is not a number), or that are unfinished after ``_MAX_STEPS``
+    steps, are flagged ``ok=False`` with the last reached time; no
+    exception is raised here so that callers may resample.
     Tolerances must be finite with ``atol > 0`` and ``rtol >= 0``
     (``ValueError`` otherwise).
 
@@ -439,7 +439,7 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, max_steps=200_000,
         t = np.where(done, tend, t)
         # a NaN step fails too
         failed = ~(done | (h >= h_floor))
-        if step >= max_steps:
+        if step >= _MAX_STEPS:
             failed = ~done
         out = done | failed
         if out.any():
@@ -501,12 +501,13 @@ def order_estimate(errors, hs):
 
 @dataclass(frozen=True)
 class ErrorBoundInputs:
-    """Inputs of the a-priori global error bound for a learned field.
+    """Inputs of the theorem's global error bound for a learned field.
 
     ``delta`` is the learning error (sup of |f_tilde - f_app|/h^p), ``lam``
-    the Lipschitz bound of the learned field on the domain, ``h_plus`` the
-    top of the training step range, ``T`` the integration horizon and
-    ``tableau`` the scheme the bound is evaluated for.
+    the Lipschitz constant of the learned field on the domain, ``h_plus``
+    the top of the training step range, ``T`` the integration horizon and
+    ``tableau`` the scheme the bound is evaluated for.  The package
+    measures ``delta`` and ``lam`` on grids, which gives lower estimates.
     """
 
     delta: float
@@ -528,9 +529,11 @@ def _expm1_over(x):
 
 
 def theorem_bound(inputs, h):
-    """Global error bound ``max_n |e_n|`` at step size ``h``.
+    """The theorem's bound on ``max_n |e_n|`` at step size ``h``.
 
-    General form ``(C delta h^p / L)(e^{LT} - 1)`` with ``C = alpha``,
+    It holds for the true suprema ``delta`` and ``lam``; at grid lower
+    estimates of them it is an estimate, not a guarantee.  General form
+    ``(C delta h^p / L)(e^{LT} - 1)`` with ``C = alpha``,
     ``L = alpha * lam`` and
     ``alpha = |b|_1 (1 + lam h_+ |A|_inf e^{lam h_+ |A|_inf})``.
     Euler and the explicit RK2 tableaus use their sharper constants; the
@@ -569,7 +572,7 @@ def estimate_lipschitz(g, box, grid_n, h=None):
 
     Jacobians come from jet directional derivatives along the coordinate
     directions; the operator infinity norm is the maximum absolute row
-    sum.  A lower estimate, nondecreasing in ``grid_n``.
+    sum.  A lower estimate of the Lipschitz constant, not an enclosure.
     """
     pts = box_grid(box, grid_n)
     d = pts.shape[1]

@@ -200,8 +200,12 @@ class ModifiedFieldModel:
     def __post_init__(self):
         d = self.base.dim
         self.scheme = canonical_scheme(self.scheme)
-        if self.p < 1 or self.n_terms < 1:
-            raise ValueError("p and n_terms must be >= 1")
+        order = get_tableau(self.scheme).order
+        if self.p != order:
+            raise ValueError(f"p must be the order of scheme "
+                             f"{self.scheme!r}, {order}; got {self.p}")
+        if self.n_terms < 1:
+            raise ValueError("n_terms must be >= 1")
         if len(self.term_nets) != self.n_terms - 1:
             raise ValueError(f"expected {self.n_terms - 1} term networks")
         for net in self.term_nets:
@@ -269,12 +273,6 @@ class ModifiedFieldModel:
         remainder, weight and bias interleaved per layer."""
         return [a for net in self.nets for wb in zip(net.weights, net.biases)
                 for a in wb]
-
-    def set_parameters(self, arrays):
-        for p, a in zip(self.parameters(), arrays):
-            if p.shape != a.shape:
-                raise ValueError("parameter shape mismatch")
-            p[...] = a
 
     def copy(self):
         """Independent model over a copy of ``theta``."""
@@ -402,41 +400,38 @@ def step_loss_and_grad(model, scheme, batch):
 
 @dataclass
 class AdamState:
+    """Adam settings and state; the moments start at zero on first use."""
+
     lr: float
     weight_decay: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = None
-    v: list = None
-
-    @classmethod
-    def for_params(cls, params, lr, weight_decay=0.0):
-        return cls(lr=lr, weight_decay=weight_decay,
-                   m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    m: np.ndarray = None
+    v: np.ndarray = None
 
 
-def adam_update(params, grads, state):
-    """In-place Adam with bias correction and decoupled weight decay
-    (``theta -= lr*wd*theta`` applied before the moment step)."""
+def adam_update(theta, grad, state):
+    """In-place Adam step on the parameter vector ``theta``, with bias
+    correction and decoupled weight decay (``theta -= lr*wd*theta``
+    applied before the moment step)."""
     if state.m is None:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+        state.m = np.zeros_like(theta)
+        state.v = np.zeros_like(theta)
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if state.weight_decay:
-            p -= state.lr * state.weight_decay * p
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
+    m, v = state.m, state.v
+    if state.weight_decay:
+        theta -= state.lr * state.weight_decay * theta
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    return theta, state
 
 
 # -- checkpoints ---------------------------------------------------------

@@ -53,16 +53,6 @@ class VectorFieldSpec:
             out[..., i] = c
         return out
 
-    def negated(self):
-        """The time-reversed field ``y' = -f(y)``."""
-        fn = self.component_fn
-        return VectorFieldSpec(
-            name=self.name + "_reversed",
-            dim=self.dim,
-            component_fn=lambda c: tuple(-z for z in fn(c)),
-            invariants=self.invariants,
-        )
-
 
 def _pendulum_components(c):
     q_dot, q = c[0], c[1]
@@ -177,39 +167,12 @@ class DomainBox:
         return self.lower.size
 
 
-def reference_flow(field, y0, t, tol=1e-12):
-    """Exact flow ``y(t)`` from ``y0``, to adaptive tolerance ``tol``.
-
-    Integrates with the embedded Dormand-Prince 5(4) pair at
-    ``atol = rtol = tol``.  Deterministic for fixed inputs.  Raises
-    :class:`IntegrationFailureError` (carrying the last reached time) if
-    the step size underflows.
-    """
-    from .integrators import adaptive_flow_batch
-
-    y0 = np.asarray(y0, dtype=float)
-    if y0.ndim != 1:
-        raise ValueError("y0 must be a 1-D state vector")
-    if not np.isfinite(t) or t < 0:
-        raise ValueError("t must be finite and >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    y, ok, reached = adaptive_flow_batch(
-        field, y0[None, :], np.array([float(t)]), atol=tol, rtol=tol
-    )
-    if not ok[0]:
-        raise IntegrationFailureError(
-            f"step size underflow at t={reached[0]:.6g} (target {t:.6g})",
-            t_reached=float(reached[0]),
-        )
-    return y[0]
-
-
 def reference_trajectory(field, y0, times, tol=1e-12):
-    """Reference states at the given increasing times (``times[0] >= 0``).
+    """Exact flow from ``y0`` at the given increasing times (``times[0] >=
+    0``): one Dormand-Prince 5(4) call per segment at ``atol = rtol = tol``.
 
-    Advances segment by segment with :func:`reference_flow` accuracy, so
-    errors do not restart from zero at each output time.
+    Raises :class:`IntegrationFailureError` (carrying the last reached
+    time) if the step size underflows.
     """
     from .integrators import adaptive_flow_batch
 

@@ -44,6 +44,7 @@ from .errors import (ConditioningError, DomainSamplingError,
                      IntegrationFailureError, TrainingDivergedError)
 from .integrators import (adaptive_flow_batch, box_grid, canonical_scheme,
                           get_tableau)
+from .modified_field import max_truncation
 from .systems import DomainBox, get_system
 
 
@@ -95,11 +96,11 @@ class Dataset:
 
 @dataclass
 class TrainConfig:
-    """Flat experiment configuration; serialized as ``key=value`` lines."""
+    """Flat experiment configuration; serialized as ``key=value`` lines.
+    The order ``p`` is the scheme's, a read-only property."""
 
     system: str = "pendulum"
     scheme: str = "euler"
-    p: int = 1
     omega_lower: tuple = (-2.0, -2.0)
     omega_upper: tuple = (2.0, 2.0)
     omega_shell: tuple = None  # (r_min, r_max) norm restriction, or None
@@ -125,15 +126,25 @@ class TrainConfig:
             raise ValueError("need 0 < h_min < h_max")
         if self.n_records < 0:
             raise ValueError("n_records must be >= 0")
-        if self.p < 1 or self.n_terms < 1 or self.n_steps < 1:
-            raise ValueError("p, n_terms, n_steps must be >= 1")
+        if self.n_terms < 1 or self.n_steps < 1:
+            raise ValueError("n_terms, n_steps must be >= 1")
         try:
-            order = get_tableau(self.scheme).order
+            k_max = max_truncation(self.scheme)
         except ValueError as exc:
             raise ValueError(f"scheme: {exc}") from None
-        if self.p != order:
-            raise ValueError(f"p must be the order of scheme "
-                             f"{self.scheme!r}, {order}; got {self.p}")
+        if k_max < 2:
+            raise ValueError(f"scheme: {self.scheme!r} has no correction "
+                             f"terms (its truncations reach k={k_max}), so "
+                             "it is not a model scheme")
+        try:
+            dim = get_system(self.system).dim
+        except ValueError as exc:
+            raise ValueError(f"system: {exc}") from None
+        for key in ("omega_lower", "omega_upper"):
+            value = getattr(self, key)
+            if value is None or len(value) != dim:
+                raise ValueError(f"{key} must have {dim} entries, the "
+                                 f"dimension of system {self.system!r}")
         if not self.hidden or any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden must list one or more widths >= 1, "
                              f"got {self.hidden!r}")
@@ -149,6 +160,10 @@ class TrainConfig:
             raise ValueError("weight_decay must be finite and >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    @property
+    def p(self):
+        return get_tableau(self.scheme).order
 
     def domain(self):
         return DomainBox(np.asarray(self.omega_lower, dtype=float),
@@ -170,10 +185,12 @@ def format_config(cfg):
 
 
 def parse_config(text, base=None):
-    """Parse ``key=value`` lines into a TrainConfig (defaults from ``base``)."""
+    """Parse ``key=value`` lines into a TrainConfig (defaults from ``base``).
+    A ``p=`` line, as older configs carry, is checked against the scheme."""
     cfg = base or TrainConfig()
     by_name = {f.name: f for f in fields(cfg)}
     updates = {}
+    legacy_p = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -181,6 +198,9 @@ def parse_config(text, base=None):
         if "=" not in line:
             raise ValueError(f"config line {ln}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key == "p":
+            legacy_p = int(val)
+            continue
         if key not in by_name:
             raise ValueError(f"config line {ln}: unknown key {key!r}")
         default = getattr(TrainConfig(), key)
@@ -198,7 +218,11 @@ def parse_config(text, base=None):
             updates[key] = tuple(conv(p) for p in parts)
         else:
             updates[key] = val
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    if legacy_p is not None and legacy_p != cfg.p:
+        raise ValueError(f"p must be the order of scheme {cfg.scheme!r}, "
+                         f"{cfg.p}; got {legacy_p}")
+    return cfg
 
 
 def save_config(cfg, path):
@@ -214,9 +238,9 @@ def load_config(path, base=None):
 PRESETS = {
     "desk-pendulum-euler": TrainConfig(),
     "desk-pendulum-rk2": TrainConfig(
-        scheme="rk2", p=2, learning_rate=5e-4),
+        scheme="rk2", learning_rate=5e-4),
     "desk-pendulum-midpoint": TrainConfig(
-        scheme="midpoint", p=2, h_min=0.05, h_max=0.5),
+        scheme="midpoint", h_min=0.05, h_max=0.5),
     "desk-rigid-body-euler": TrainConfig(
         system="rigid_body", omega_lower=(-2.0, -2.0, -2.0),
         omega_upper=(2.0, 2.0, 2.0), omega_shell=(0.98, 1.02),
@@ -233,10 +257,10 @@ PRESETS = {
     "paper-pendulum-euler": TrainConfig(
         n_records=25_000_000, hidden=(200, 200), epochs=200, print_every=20),
     "paper-pendulum-rk2": TrainConfig(
-        scheme="rk2", p=2, n_records=100_000_000, hidden=(250, 250),
+        scheme="rk2", n_records=100_000_000, hidden=(250, 250),
         learning_rate=5e-4, epochs=200, print_every=20),
     "paper-pendulum-midpoint": TrainConfig(
-        scheme="midpoint", p=2, h_min=0.05, h_max=0.5,
+        scheme="midpoint", h_min=0.05, h_max=0.5,
         n_records=20_000_000, hidden=(200, 200), epochs=200, print_every=20),
     "paper-rigid-body-euler": TrainConfig(
         system="rigid_body", omega_lower=(-2.0, -2.0, -2.0),
@@ -541,9 +565,7 @@ def train(model, scheme, train_set, test_set, cfg):
         initial_test=_full_loss(model, scheme, test_set))
     if cfg.epochs == 0:
         return model, report
-    params = [model.theta]
-    state = neural.AdamState.for_params(params, cfg.learning_rate,
-                                        cfg.weight_decay)
+    state = neural.AdamState(cfg.learning_rate, cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 977])
     n = len(train_set)
     for epoch in range(1, cfg.epochs + 1):
@@ -557,7 +579,7 @@ def train(model, scheme, train_set, test_set, cfg):
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, batch {bi}: {exc}",
                     epoch=epoch, batch=bi, record=exc.record) from exc
-            neural.adam_update(params, [grad], state)
+            neural.adam_update(model.theta, grad, state)
         lt = _full_loss(model, scheme, train_set)
         lv = _full_loss(model, scheme, test_set)
         report.train_losses.append(lt)
@@ -570,24 +592,6 @@ def train(model, scheme, train_set, test_set, cfg):
 
 
 # -- alternative (per-term) method ----------------------------------------
-
-
-def alt_extract_targets(field_, y0, steps, n_terms, p, tol=1e-12, flows=None):
-    """Per-term targets at one state from flows over several step sizes.
-
-    With ``d_j = y_j - y0 - h_j f(y0)``, fits ``d_j`` against the
-    monomials ``h_j^{p+1}, ..., h_j^{n_terms+p-1}`` componentwise through
-    the pseudoinverse and scales the residual at each step by
-    ``h_j^{-(n_terms+p)}``.  Returns ``(coeffs, r_targets)`` shaped
-    ``(n_terms-1, d)`` and ``(len(steps), d)``.  ``flows`` overrides the
-    reference flows (for constructed data).
-    """
-    y0 = np.asarray(y0, dtype=float)
-    c, r = alt_extract_targets_batch(field_, y0[None], steps, n_terms, p,
-                                     tol=tol,
-                                     flows=None if flows is None
-                                     else np.asarray(flows, dtype=float)[None])
-    return c[0], r[0]
 
 
 def _alt_design(steps, n_terms, p):
@@ -607,12 +611,20 @@ def _alt_design(steps, n_terms, p):
     return steps, design
 
 
-def alt_extract_targets_batch(field_, y0, steps, n_terms, p,
-                              tol=1e-12, flows=None):
-    """Vectorized target extraction for ``y0`` of shape ``(K, d)``.
+def alt_extract_targets(field_, y0, steps, n_terms, p, tol=1e-12,
+                        flows=None):
+    """Per-term targets from flows over several step sizes, for ``K``
+    states ``y0`` shaped ``(K, d)``.
 
-    Returns ``coeffs (K, n_terms-1, d)`` and ``r_targets (K, len(steps), d)``.
+    With ``d_j = y_j - y0 - h_j f(y0)``, fits ``d_j`` against the
+    monomials ``h_j^{p+1}, ..., h_j^{n_terms+p-1}`` componentwise through
+    the pseudoinverse and scales the residual at each step by
+    ``h_j^{-(n_terms+p)}``.  Returns ``(coeffs, r_targets)`` shaped
+    ``(K, n_terms-1, d)`` and ``(K, len(steps), d)``; for one state
+    ``(d,)`` the leading ``K`` axis is dropped.  ``flows`` overrides the
+    reference flows (for constructed data).
     """
+    single = np.ndim(y0) == 1
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
     K, d = y0.shape
     steps, design = _alt_design(steps, n_terms, p)
@@ -643,6 +655,8 @@ def alt_extract_targets_batch(field_, y0, steps, n_terms, p,
         fitted = np.einsum("jm,kmd->kjd", design, coeffs)
     resid = defect - fitted
     r_targets = resid / (steps[None, :, None] ** (n_terms + p))
+    if single:
+        return coeffs[0], r_targets[0]
     return coeffs, r_targets
 
 
@@ -664,8 +678,7 @@ def _regress_job(args):
     """Train one network against fixed targets; pure function of args."""
     (sizes, weights, biases, X, T, lr, wd, batch_size, epochs, seed) = args
     net = neural.MlpParams(list(sizes), weights, biases)  # owns a copy
-    params = [net.vector]
-    state = neural.AdamState.for_params(params, lr, wd)
+    state = neural.AdamState(lr, wd)
     rng = np.random.default_rng(seed)
     n = len(X)
     losses = []
@@ -675,7 +688,7 @@ def _regress_job(args):
             idx = perm[s:s + batch_size]
             _loss, grad = _regress_loss_and_grad(net, X[idx], T[idx],
                                                  record=int(idx[0]))
-            neural.adam_update(params, [grad], state)
+            neural.adam_update(net.vector, grad, state)
         err = neural.mlp_forward(net, X) - T
         losses.append(float(np.mean(np.sum(err**2, axis=-1))))
     return net.vector, losses
@@ -731,8 +744,8 @@ def build_alt_training_data(cfg, workers=1):
     for i, rng in enumerate(rngs):
         X[i] = _draw_record_state(rng, box, i)
     steps = np.geomspace(cfg.h_min, cfg.h_max, cfg.n_steps)
-    C, R = alt_extract_targets_batch(field_, X, steps, cfg.n_terms, cfg.p,
-                                     tol=cfg.tol)
+    C, R = alt_extract_targets(field_, X, steps, cfg.n_terms, cfg.p,
+                               tol=cfg.tol)
     C = np.swapaxes(C, 0, 1)  # (n_terms-1, K, d)
     XR = np.concatenate([np.repeat(X, len(steps), axis=0),
                          np.tile(steps, K)[:, None]], axis=1)
@@ -740,17 +753,13 @@ def build_alt_training_data(cfg, workers=1):
     return X, C, XR, R, steps
 
 
-def assemble_alt_model(base, scheme, p, n_terms, nets):
-    return neural.ModifiedFieldModel(base, scheme, p, n_terms,
-                                     list(nets[:-1]), nets[-1])
-
-
 # -- diagnostics -----------------------------------------------------------
 
 
 def learning_error_delta(model, reference, box, grid_n, h_list):
     """Max over grid and steps of ``|reference(x,h) - model(x,h)| / h^p``
-    (max norm over components)."""
+    (max norm over components): a grid estimate of the theorem's
+    ``delta``, which is a supremum against the exact modified field."""
     X = box_grid(box, grid_n)
     worst = 0.0
     for h in np.asarray(h_list, dtype=float):

@@ -22,11 +22,7 @@ from modfield.integrators import (
     order_estimate,
     theorem_bound,
 )
-from modfield.modified_field import (
-    extract_first_correction,
-    midpoint_odd_coefficients,
-    truncated_field,
-)
+from modfield.modified_field import truncated_field
 from modfield.neural import init_model, step_loss, step_loss_and_grad
 from modfield.systems import get_system, reference_trajectory
 from modfield.training import (
@@ -40,6 +36,7 @@ from modfield.training import (
     split_dataset,
     train,
 )
+from oracles import extract_first_correction, midpoint_odd_coefficients
 
 Y0 = np.array([1.5, 0.0])
 

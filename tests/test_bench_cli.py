@@ -263,7 +263,7 @@ def test_param_study(tmp_path):
 
 def test_param_study_rk2(tmp_path):
     cfg = tmp_path / "ps.cfg"
-    save_config(micro_cfg(epochs=1, n_records=30, scheme="rk2", p=2), cfg)
+    save_config(micro_cfg(epochs=1, n_records=30, scheme="rk2"), cfg)
     out = tmp_path / "ps"
     assert main(["param-study", "--config", str(cfg), "--out", str(out),
                  "--widths", "4", "--depths", "1", "--data-sizes", "30",
@@ -350,7 +350,7 @@ def test_bad_worker_count_is_a_usage_error(tmp_path, cfg_file, capsys,
                                   "weight_decay=-5", "weight_decay=nan",
                                   "weight_decay=inf", "seed=-1",
                                   "hidden=0", "hidden=6,0", "scheme=rk4",
-                                  "scheme=rk2", "p=2"])
+                                  "p=2", "system=rigid_body"])
 def test_bad_training_value_is_a_usage_error(tmp_path, cfg_file, capsys,
                                             line):
     cfg = tmp_path / "bad.cfg"
@@ -361,6 +361,51 @@ def test_bad_training_value_is_a_usage_error(tmp_path, cfg_file, capsys,
     assert rc == 2
     assert line.split("=")[0] in capsys.readouterr().err
     assert not (out / "model.json").exists()
+
+
+# p follows the scheme: an RK2 config needs no p= line, and the p= line
+# that configs written before carry is only checked against the scheme
+@pytest.mark.parametrize("legacy, rc", [("", 0), ("p=2\n", 0), ("p=1\n", 2)],
+                         ids=["no-p-line", "p=2", "p=1"])
+def test_legacy_p_line_is_checked_against_the_scheme(
+        tmp_path, cfg_file, capsys, legacy, rc):
+    cfg = tmp_path / "rk2.cfg"
+    cfg.write_text(open(cfg_file).read() + "n_records=50\nepochs=1\n"
+                   "scheme=rk2\n" + legacy)
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == rc
+    if rc:
+        assert "p must be the order of scheme 'rk2', 2; got 1" in (
+            capsys.readouterr().err)
+        assert not (out / "model.json").exists()
+    else:
+        assert load_model(out / "model.json").p == 2
+
+
+def test_model_scheme_without_terms_fails_before_generating(
+        tmp_path, cfg_file, capsys, monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr("modfield.training.generate_dataset", no_data)
+    cfg = tmp_path / "dopri5.cfg"
+    cfg.write_text(open(cfg_file).read() + "scheme=dopri5\n")
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "scheme: 'dopri5' has no correction terms" in (
+        capsys.readouterr().err)
+
+
+def test_model_order_off_the_scheme_is_a_usage_error(tmp_path, untrained,
+                                                     capsys):
+    doc = json.loads(open(untrained).read())
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(dict(doc, p=3)))
+    rc = main(["convergence", "--model", str(path), "--out",
+               str(tmp_path / "o"), "--T", "1.0", "--h-list", "0.25"])
+    assert rc == 2
+    assert "p must be the order of scheme 'euler', 1; got 3" in (
+        capsys.readouterr().err)
 
 
 def test_negative_seed_flag_is_a_usage_error(tmp_path, cfg_file, capsys):

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
-from modfield.errors import (
-    ConditioningWarning,
-    FixedPointError,
-    UnsupportedTruncationError,
-)
+from modfield.errors import FixedPointError, UnsupportedTruncationError
 from modfield.integrators import get_stepper, integrate, order_estimate
 from modfield.jets import directional_derivative
-from modfield.modified_field import (
+from modfield.modified_field import max_truncation, truncated_field
+from modfield.systems import get_system, reference_trajectory
+from oracles import (
+    ConditioningWarning,
     extract_first_correction,
-    max_truncation,
     midpoint_field_probe,
     midpoint_odd_coefficients,
-    truncated_field,
 )
-from modfield.systems import get_system, reference_flow
 
 
 # frozen correction terms at the pendulum point (1, 0)
@@ -128,7 +124,7 @@ def test_truncated_field_raises_order(pendulum):
     y0 = np.array([1.5, 0.0])
     T = 5.0
     hs = 0.1 * 2.0 ** -np.arange(4)
-    ref = reference_flow(pendulum, y0, T, tol=1e-13)
+    ref = reference_trajectory(pendulum, y0, [T], tol=1e-13)[-1]
     step = get_stepper("euler")
     for k in (2, 3):
         fk = truncated_field(pendulum, "euler", k)
@@ -173,8 +169,8 @@ def test_midpoint_probe_consistency(pendulum):
     h = 0.2
     g = midpoint_field_probe(pendulum, x, h, tol=1e-13)
     y = x - 0.5 * h * g
-    assert np.max(np.abs(reference_flow(pendulum, y, h, tol=1e-13)
-                         - (x + 0.5 * h * g))) < 1e-11
+    flow = reference_trajectory(pendulum, y, [h], tol=1e-13)[-1]
+    assert np.max(np.abs(flow - (x + 0.5 * h * g))) < 1e-11
 
 
 def test_midpoint_probe_batch(pendulum, rng):

@@ -122,7 +122,8 @@ def test_model_parameters_round_trip(pendulum):
     # copies must not alias the original storage
     for a, b in zip(model.parameters(), params):
         assert np.array_equal(a, b)
-    clone.set_parameters(params)
+    for q, a in zip(clone.parameters(), params):
+        q[...] = a
     for a, b in zip(clone.parameters(), model.parameters()):
         assert np.array_equal(a, b)
 
@@ -297,31 +298,31 @@ def test_gradient_divergence_names_record(pendulum):
 
 def test_adam_first_step_is_lr():
     # with g = 1 the bias-corrected first step is exactly -lr
-    p = [np.zeros(3)]
-    g = [np.ones(3)]
-    st = AdamState.for_params(p, lr=0.1)
+    p = np.zeros(3)
+    g = np.ones(3)
+    st = AdamState(lr=0.1)
     adam_update(p, g, st)
-    assert np.allclose(p[0], -0.1, atol=1e-8)
+    assert np.allclose(p, -0.1, atol=1e-8)
     assert st.step == 1
 
 
 def test_adam_weight_decay_is_decoupled():
     # zero gradient: only the decay term may move the parameter
-    p = [np.full(2, 4.0)]
-    g = [np.zeros(2)]
-    st = AdamState.for_params(p, lr=0.1, weight_decay=0.5)
+    p = np.full(2, 4.0)
+    g = np.zeros(2)
+    st = AdamState(lr=0.1, weight_decay=0.5)
     adam_update(p, g, st)
-    assert np.allclose(p[0], 4.0 - 0.1 * 0.5 * 4.0)
+    assert np.allclose(p, 4.0 - 0.1 * 0.5 * 4.0)
 
 
 def test_adam_matches_reference_loop(rng):
     """Two Adam steps against a plain transcription of the update rule."""
     p0 = rng.standard_normal(5)
     g1, g2 = rng.standard_normal(5), rng.standard_normal(5)
-    p = [p0.copy()]
-    st = AdamState.for_params(p, lr=0.01, weight_decay=1e-2)
-    adam_update(p, [g1.copy()], st)
-    adam_update(p, [g2.copy()], st)
+    p = p0.copy()
+    st = AdamState(lr=0.01, weight_decay=1e-2)
+    adam_update(p, g1.copy(), st)
+    adam_update(p, g2.copy(), st)
 
     theta = p0.copy()
     m = np.zeros(5)
@@ -333,7 +334,7 @@ def test_adam_matches_reference_loop(rng):
         mhat = m / (1 - 0.9 ** t)
         vhat = v / (1 - 0.999 ** t)
         theta = theta - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
-    assert np.allclose(p[0], theta, atol=1e-15)
+    assert np.allclose(p, theta, atol=1e-15)
 
 
 def test_checkpoint_round_trip(pendulum, tmp_path):
@@ -378,3 +379,20 @@ def test_checkpoint_rejects_bad_shapes(pendulum, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointShapeError):
         load_model(path)
+
+
+def test_model_order_must_match_the_scheme(pendulum, tmp_path):
+    # every term is weighted by a power of h that starts at the order p
+    with pytest.raises(ValueError,
+                       match="p must be the order of scheme 'euler', 1; "
+                             "got 2"):
+        init_model(pendulum, "euler", 2, 2, (4,), seed=0)
+    path = tmp_path / "model.json"
+    save_model(init_model(pendulum, "euler", 1, 2, (4,), seed=0), path)
+    doc = json.loads(path.read_text())
+    for key, value, message in (("p", 3, "got 3"),
+                                ("scheme", "rk4", "unknown scheme 'rk4'")):
+        edited = dict(doc, **{key: value})
+        path.write_text(json.dumps(edited))
+        with pytest.raises(CheckpointShapeError, match=message):
+            load_model(path)

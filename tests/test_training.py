@@ -1,6 +1,6 @@
 import copy
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,20 +8,20 @@ import pytest
 from modfield import neural
 from modfield.errors import (ConditioningError, DomainSamplingError,
                              TrainingDivergedError)
-from modfield.integrators import adaptive_flow_batch, box_grid
+from modfield.integrators import adaptive_flow_batch, box_grid, get_tableau
 from modfield.modified_field import truncated_field
-from modfield.neural import init_model, mlp_forward, mlp_init
+from modfield.neural import (ModifiedFieldModel, init_model, mlp_forward,
+                             mlp_init)
 from modfield.training import (
     _draw_state,
     _record_rngs,
     _record_words,
     _regress_loss_and_grad,
+    PRESETS,
     Dataset,
     TrainConfig,
     alt_extract_targets,
-    alt_extract_targets_batch,
     alt_train,
-    assemble_alt_model,
     build_alt_training_data,
     format_config,
     generate_dataset,
@@ -71,21 +71,47 @@ def test_config_validation():
         TrainConfig(n_steps=0)
 
 
+# a p= line, which every config written before p followed the scheme
+# carries, is checked against the scheme's order
 @pytest.mark.parametrize("kw, key", [
-    (dict(scheme="rk2"), "p must be the order of scheme 'rk2', 2; got 1"),
+    (dict(scheme="rk2", p=1), "p must be the order of scheme 'rk2', 2; got 1"),
     (dict(scheme="midpoint", p=1), "p must be the order"),
     (dict(scheme="euler", p=3), "p must be the order"),
     (dict(scheme="rk4"), "scheme: unknown scheme 'rk4'"),
+    # DOPRI5 steps fine, but it has no correction terms to learn
+    (dict(scheme="dopri5"), "scheme: 'dopri5' has no correction terms"),
 ])
 def test_config_order_must_match_the_scheme(kw, key):
     with pytest.raises(ValueError, match=key):
-        TrainConfig(**kw)
+        parse_config("".join(f"{k}={v}\n" for k, v in kw.items()))
 
 
 def test_config_accepts_each_scheme_at_its_order():
     for scheme, p in (("euler", 1), ("rk2", 2), ("rk2_heun", 2),
                       ("rk2_midpoint", 2), ("midpoint", 2)):
-        assert TrainConfig(scheme=scheme, p=p).p == p
+        assert TrainConfig(scheme=scheme).p == p
+        assert parse_config(f"scheme={scheme}\np={p}\n").p == p
+
+
+def test_p_is_the_scheme_order_not_a_key():
+    assert "p" not in {f.name for f in fields(TrainConfig)}
+    for name in PRESETS:
+        cfg = get_preset(name)
+        assert cfg.p == get_tableau(cfg.scheme).order, name
+        assert not any(ln.startswith("p=")
+                       for ln in format_config(cfg).splitlines())
+
+
+@pytest.mark.parametrize("kw, key", [
+    (dict(system="rigid_body"), "omega_lower must have 3 entries"),
+    (dict(system="rigid_body", omega_lower=(-1.0,) * 3),
+     "omega_upper must have 3 entries"),
+    (dict(omega_upper=(2.0, 2.0, 2.0)), "omega_upper must have 2 entries"),
+    (dict(system="unicorn"), "system: unknown system 'unicorn'"),
+])
+def test_config_domain_must_match_the_system(kw, key):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**kw)
 
 
 @pytest.mark.parametrize("hidden", [(), None, (0,), (0, 0), (50, 0), (-3,)])
@@ -95,7 +121,7 @@ def test_config_rejects_empty_or_zero_hidden_width(hidden):
 
 
 def test_config_domain_carries_shell():
-    cfg = TrainConfig(omega_lower=(-2.0, -2.0, -2.0),
+    cfg = TrainConfig(system="rigid_body", omega_lower=(-2.0, -2.0, -2.0),
                       omega_upper=(2.0, 2.0, 2.0),
                       omega_shell=(0.98, 1.02))
     box = cfg.domain()
@@ -105,7 +131,7 @@ def test_config_domain_carries_shell():
 
 
 def test_config_round_trip(tmp_path):
-    cfg = TrainConfig(system="rigid_body", scheme="rk2", p=2,
+    cfg = TrainConfig(system="rigid_body", scheme="rk2",
                       omega_lower=(-1.0, -1.0, -1.0),
                       omega_upper=(1.0, 1.0, 1.0), omega_shell=(0.9, 1.1),
                       h_min=0.02, h_max=1.5, n_records=123, n_terms=4,
@@ -453,7 +479,7 @@ def test_alt_extraction_recovers_first_correction(pendulum):
 def test_alt_extraction_batch_matches_scalar(pendulum, rng):
     steps = np.geomspace(0.05, 0.5, 4)
     Y = rng.uniform(-1.5, 1.5, size=(6, 2))
-    C, R = alt_extract_targets_batch(pendulum, Y, steps, 3, 1)
+    C, R = alt_extract_targets(pendulum, Y, steps, 3, 1)
     assert C.shape == (6, 2, 2) and R.shape == (6, 4, 2)
     c0, r0 = alt_extract_targets(pendulum, Y[3], steps, 3, 1)
     assert np.allclose(C[3], c0, rtol=0, atol=1e-12)
@@ -555,7 +581,7 @@ def test_alt_train_wants_one_net_per_target(pendulum):
 def test_assemble_alt_model_weighting(pendulum):
     nets = [mlp_init([2, 6, 2], [9, 0]), mlp_init([2, 6, 2], [9, 1]),
             mlp_init([3, 6, 2], [9, 2])]
-    model = assemble_alt_model(pendulum, "euler", 1, 3, nets)
+    model = ModifiedFieldModel(pendulum, "euler", 1, 3, nets[:-1], nets[-1])
     y = np.array([0.3, -0.8])
     h = 0.37
     want = (pendulum(y) + h * mlp_forward(nets[0], y)
