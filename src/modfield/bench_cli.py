@@ -21,17 +21,18 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import partial, wraps
 from pathlib import Path
 
 import numpy as np
 
-from . import modified_field, neural, training
+from . import __version__, modified_field, neural, training
 from .errors import CheckpointError, ModfieldError, UnsupportedTruncationError
 from .integrators import (box_grid, canonical_scheme, dopri5_integrate,
                           get_stepper, integrate)
 from .systems import get_system, reference_trajectory
 
-VERSION = "0.1.0"
+VERSION = __version__
 
 # default simulation horizon and step per (system, scheme)
 BENCH_DEFAULTS = {
@@ -76,12 +77,6 @@ def _resolve_cfg(args):
     return cfg
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_csv(path, command, seed, header, rows):
     with open(path, "w") as fh:
         fh.write(f"# command: {command}\n")
@@ -93,19 +88,51 @@ def _write_csv(path, command, seed, header, rows):
                               else neural.format_exact(v) for v in row) + "\n")
 
 
-def _write_manifest(outdir, command, cfg, seed, inputs, outputs, seconds):
+def _write_manifest(outdir, command, cfg, inputs, outputs, seconds):
     doc = {
         "command": command,
         "version": VERSION,
-        "seed": seed,
-        "config": None if cfg is None else asdict(cfg),
+        "seed": cfg.seed,
+        "config": asdict(cfg),
         "inputs": [str(p) for p in inputs],
         "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
         "seconds": seconds,
     }
     path = outdir / f"{command}-manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+
+
+def _command(name):
+    """Turn a body ``(args, cfg) -> (inputs, outputs)`` into a handler.
+
+    ``outputs`` maps each file name to a ``(header, rows)`` table or to a
+    ``write(path)`` callable.  The handler resolves the config, runs the
+    body, and only then creates the output directory, so a usage error
+    leaves none behind; it writes the outputs, prints one ``wrote`` line
+    and writes the manifest.
+    """
+    def wrap(body):
+        @wraps(body)
+        def handler(args):
+            t0 = time.perf_counter()
+            cfg = _resolve_cfg(args)
+            inputs, outputs = body(args, cfg)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            paths = []
+            for fname, output in outputs.items():
+                path = out / fname
+                if callable(output):
+                    output(path)
+                else:
+                    _write_csv(path, name, cfg.seed, *output)
+                paths.append(path)
+            print("wrote " + " and ".join(str(p) for p in paths))
+            _write_manifest(out, name, cfg, inputs, paths,
+                            time.perf_counter() - t0)
+            return 0
+        return handler
+    return wrap
 
 
 def _floats(text):
@@ -128,15 +155,27 @@ def _check_steps(args):
             raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
 
 
-def _sim_defaults(cfg):
-    key = (cfg.system, canonical_scheme(cfg.scheme))
-    return BENCH_DEFAULTS.get(key, (20.0, cfg.h_min))
+def _orbit(args, cfg, model):
+    """Stepper, horizon ``T``, default step and start state ``y0`` of an
+    orbit command; ``--y0`` must hold the system's ``dim`` finite values."""
+    T, h0 = BENCH_DEFAULTS.get((cfg.system, canonical_scheme(cfg.scheme)),
+                               (20.0, cfg.h_min))
+    base = model.base
+    try:
+        y0 = np.array(_floats(args.y0) if args.y0 else DEFAULT_Y0[base.name])
+        ok = y0.shape == (base.dim,) and np.isfinite(y0).all()
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"--y0 must be {base.dim} finite comma-separated "
+                         f"values for {base.name}, got {args.y0!r}")
+    return get_stepper(model.scheme), T if args.T is None else args.T, h0, y0
 
 
-def _y0_for(args, system):
-    if getattr(args, "y0", None):
-        return np.array(_floats(args.y0))
-    return np.array(DEFAULT_Y0[system])
+def _grid(T, h):
+    """Step count ``n`` for horizon ``T`` and the ``n + 1`` output times."""
+    n = max(1, round(T / h))
+    return n, h * np.arange(n + 1)
 
 
 def _max_traj_error(states, ref_states):
@@ -146,139 +185,95 @@ def _max_traj_error(states, ref_states):
 # -- commands -------------------------------------------------------------
 
 
-def cmd_generate(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_cfg(args)
-    out = _outdir(args)
+@_command("generate")
+def cmd_generate(args, cfg):
     ds = training.generate_dataset(cfg, workers=_workers())
-    path = out / "dataset.csv"
-    training.save_dataset(ds, path)
-    print(f"wrote {len(ds)} records to {path} (resampled {ds.resampled})")
-    _write_manifest(out, "generate", cfg, cfg.seed, [], [path],
-                    time.perf_counter() - t0)
-    return 0
+    return [], {"dataset.csv": partial(training.save_dataset, ds)}
 
 
-def _train_common(args, alt):
-    t0 = time.perf_counter()
-    cfg = _resolve_cfg(args)
-    out = _outdir(args)
-    base = get_system(cfg.system)
-    model = neural.init_model(base, cfg.scheme, cfg.p, cfg.n_terms,
-                              cfg.hidden, cfg.seed)
-    inputs = []
-    if alt:
-        X, C, XR, R, _steps = training.build_alt_training_data(
-            cfg, workers=_workers())
-        _nets, histories = training.alt_train(model.nets, (X, C), (XR, R),
-                                              cfg, workers=_workers())
-        model_path = out / "model_alt.json"
-        neural.save_model(model, model_path)
-        loss_path = out / "loss_alt.csv"
-        header = ["epoch"] + [f"mse_term{j + 1}" for j in range(len(C))] \
-            + ["mse_remainder"]
-        rows = [[e + 1] + [hist[e] for hist in histories]
-                for e in range(cfg.epochs)]
-        _write_csv(loss_path, "train-alt", cfg.seed, header, rows)
+def _init_model(cfg):
+    return neural.init_model(get_system(cfg.system), cfg.scheme, cfg.p,
+                             cfg.n_terms, cfg.hidden, cfg.seed)
+
+
+def _fit(cfg, ds):
+    """A fresh model for ``cfg``, trained on its split of ``ds``."""
+    train_set, test_set = training.split_dataset(ds, cfg.train_fraction,
+                                                 cfg.seed)
+    return training.train(_init_model(cfg), cfg.scheme, train_set, test_set,
+                          cfg)
+
+
+@_command("train")
+def cmd_train(args, cfg):
+    if args.data:
+        ds = training.load_dataset(args.data)
     else:
-        if args.data:
-            ds = training.load_dataset(args.data)
-            inputs.append(args.data)
-        else:
-            ds = training.generate_dataset(cfg, workers=_workers())
-        train_set, test_set = training.split_dataset(ds, cfg.train_fraction,
-                                                     cfg.seed)
-        model, report = training.train(model, cfg.scheme, train_set,
-                                       test_set, cfg)
-        model_path = out / "model.json"
-        neural.save_model(model, model_path)
-        loss_path = out / "loss.csv"
-        rows = [[e + 1, report.train_losses[e], report.test_losses[e],
-                 report.seconds[e]] for e in range(len(report.train_losses))]
-        _write_csv(loss_path, "train", cfg.seed,
-                   ["epoch", "loss_train", "loss_test", "seconds"], rows)
-    name = "train-alt" if alt else "train"
-    print(f"wrote {model_path} and {loss_path}")
-    _write_manifest(out, name, cfg, cfg.seed, inputs,
-                    [model_path, loss_path], time.perf_counter() - t0)
-    return 0
+        ds = training.generate_dataset(cfg, workers=_workers())
+    model, report = _fit(cfg, ds)
+    rows = [[e + 1, *losses] for e, losses in enumerate(zip(
+        report.train_losses, report.test_losses, report.seconds))]
+    return [args.data] if args.data else [], {
+        "model.json": partial(neural.save_model, model),
+        "loss.csv": (["epoch", "loss_train", "loss_test", "seconds"], rows)}
 
 
-def cmd_train(args):
-    return _train_common(args, alt=False)
+@_command("train-alt")
+def cmd_train_alt(args, cfg):
+    model = _init_model(cfg)
+    X, C, XR, R, _steps = training.build_alt_training_data(
+        cfg, workers=_workers())
+    _nets, histories = training.alt_train(model.nets, (X, C), (XR, R), cfg,
+                                          workers=_workers())
+    header = ["epoch"] + [f"mse_term{j + 1}" for j in range(len(C))] \
+        + ["mse_remainder"]
+    rows = [[e + 1] + [hist[e] for hist in histories]
+            for e in range(cfg.epochs)]
+    return [], {"model_alt.json": partial(neural.save_model, model),
+                "loss_alt.csv": (header, rows)}
 
 
-def cmd_train_alt(args):
-    return _train_common(args, alt=True)
-
-
-def cmd_field_error_map(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_cfg(args)
-    out = _outdir(args)
+@_command("field-error-map")
+def cmd_field_error_map(args, cfg):
     model = neural.load_model(args.model)
-    base = model.base
-    ref_field = modified_field.truncated_field(base, model.scheme, args.k)
-    box = cfg.domain()
-    X = box_grid(box, args.grid_n)
-    h = args.h
-    g = np.linalg.norm(ref_field(X, h) - model.eval(X, h), axis=-1) / h**model.p
-    map_path = out / "field_error_map.csv"
-    d = base.dim
-    header = [f"x{i + 1}" for i in range(d)] + ["g"]
-    _write_csv(map_path, "field-error-map", cfg.seed, header,
-               [[*X[i], g[i]] for i in range(len(X))])
+    ref_field = modified_field.truncated_field(model.base, model.scheme,
+                                               args.k)
+    X = box_grid(cfg.domain(), args.grid_n)
 
+    def g(h):
+        return np.linalg.norm(ref_field(X, h) - model.eval(X, h),
+                              axis=-1) / h**model.p
+
+    header = [f"x{i + 1}" for i in range(model.base.dim)] + ["g"]
     hs = (np.array(_floats(args.h_list)) if args.h_list
           else np.geomspace(cfg.h_min, cfg.h_max, 15))
-    rows = []
-    for hv in hs:
-        gv = np.linalg.norm(ref_field(X, hv) - model.eval(X, hv),
-                            axis=-1) / hv**model.p
-        rows.append([hv, float(gv.max())])
-    max_path = out / "field_error_max.csv"
-    _write_csv(max_path, "field-error-map", cfg.seed, ["h", "max_g"], rows)
-    print(f"wrote {map_path} and {max_path}")
-    _write_manifest(out, "field-error-map", cfg, cfg.seed, [args.model],
-                    [map_path, max_path], time.perf_counter() - t0)
-    return 0
+    return [args.model], {
+        "field_error_map.csv": (header, [[*x, gx] for x, gx
+                                         in zip(X, g(args.h))]),
+        "field_error_max.csv": (["h", "max_g"],
+                                [[h, float(g(h).max())] for h in hs])}
 
 
-def cmd_convergence(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_cfg(args)
-    out = _outdir(args)
+@_command("convergence")
+def cmd_convergence(args, cfg):
     model = neural.load_model(args.model)
-    base = model.base
-    scheme = model.scheme
-    stepper = get_stepper(scheme)
-    T = args.T if args.T is not None else _sim_defaults(cfg)[0]
-    h0 = _sim_defaults(cfg)[1]
+    stepper, T, h0, y0 = _orbit(args, cfg, model)
     hs = (_floats(args.h_list) if args.h_list
           else [h0 * 2.0**-j for j in range(4)])
-    y0 = _y0_for(args, base.name)
     rows = []
     for h in hs:
-        n = max(1, round(T / h))
-        times = h * np.arange(n + 1)
-        ref = reference_trajectory(base, y0, times, tol=1e-12)
-        try:
-            bare = integrate(stepper, base, y0, h, n).states
-            err_f = _max_traj_error(bare, ref)
-        except ModfieldError:
-            err_f = float("nan")
-        try:
-            learned = integrate(stepper, model, y0, h, n).states
-            err_fapp = _max_traj_error(learned, ref)
-        except ModfieldError:
-            err_fapp = float("nan")
-        rows.append([h, err_f, err_fapp])
-    path = out / "convergence.csv"
-    _write_csv(path, "convergence", cfg.seed, ["h", "err_f", "err_fapp"], rows)
-    print(f"wrote {path}")
-    _write_manifest(out, "convergence", cfg, cfg.seed, [args.model], [path],
-                    time.perf_counter() - t0)
-    return 0
+        n, times = _grid(T, h)
+        ref = reference_trajectory(model.base, y0, times, tol=1e-12)
+        row = [h]
+        for field in (model.base, model):
+            try:
+                states = integrate(stepper, field, y0, h, n).states
+                row.append(_max_traj_error(states, ref))
+            except ModfieldError:
+                row.append(float("nan"))
+        rows.append(row)
+    return [args.model], {
+        "convergence.csv": (["h", "err_f", "err_fapp"], rows)}
 
 
 def _timed(fn, repeats):
@@ -292,34 +287,27 @@ def _timed(fn, repeats):
     return float(np.median(times)), result
 
 
-def cmd_efficiency(args):
-    t0 = time.perf_counter()
+@_command("efficiency")
+def cmd_efficiency(args, cfg):
     if args.repeats < 3:
         raise ValueError("--repeats must be >= 3")
-    cfg = _resolve_cfg(args)
     model = neural.load_model(args.model)
-    base = model.base
-    scheme = model.scheme
+    base, scheme = model.base, model.scheme
     ks = _ints(args.k_list)
     k_max = modified_field.max_truncation(scheme)
     for k in ks:
         if not 2 <= k <= k_max:
             raise ValueError(f"--k-list entry {k} is outside 2..{k_max}, "
                              f"the truncations scheme {scheme!r} has")
-    out = _outdir(args)
-    stepper = get_stepper(scheme)
-    T = args.T if args.T is not None else _sim_defaults(cfg)[0]
-    h0 = _sim_defaults(cfg)[1]
+    stepper, T, h0, y0 = _orbit(args, cfg, model)
     hs = (_floats(args.h_list) if args.h_list
           else [h0 * 2.0**-j for j in range(3)])
     tols = _floats(args.tol_list)
-    y0 = _y0_for(args, base.name)
 
     rows = []
     for h in hs:
-        n = max(1, round(T / h))
-        times_grid = h * np.arange(n + 1)
-        ref = reference_trajectory(base, y0, times_grid, tol=1e-12)
+        n, times = _grid(T, h)
+        ref = reference_trajectory(base, y0, times, tol=1e-12)
         fields = [("scheme_f", base), ("scheme_fapp", model)]
         for k in ks:
             fields.append((f"scheme_trunc_k{k}",
@@ -336,56 +324,34 @@ def cmd_efficiency(args):
         ref = reference_trajectory(base, y0, traj.times, tol=1e-12)
         rows.append(["dopri5", tol, seconds,
                      _max_traj_error(traj.states, ref)])
-    path = out / "efficiency.csv"
-    _write_csv(path, "efficiency", cfg.seed,
-               ["method", "h_or_tol", "seconds", "max_error"], rows)
-    print(f"wrote {path}")
-    _write_manifest(out, "efficiency", cfg, cfg.seed, [args.model], [path],
-                    time.perf_counter() - t0)
-    return 0
+    return [args.model], {"efficiency.csv": (
+        ["method", "h_or_tol", "seconds", "max_error"], rows)}
 
 
-def cmd_invariant_drift(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_cfg(args)
-    out = _outdir(args)
+@_command("invariant-drift")
+def cmd_invariant_drift(args, cfg):
     model = neural.load_model(args.model)
     base = model.base
-    scheme = model.scheme
-    stepper = get_stepper(scheme)
-    T = args.T if args.T is not None else _sim_defaults(cfg)[0]
-    h = args.h if args.h is not None else _sim_defaults(cfg)[1]
-    y0 = _y0_for(args, base.name)
-    n = max(1, round(T / h))
-    times = h * np.arange(n + 1)
+    stepper, T, h0, y0 = _orbit(args, cfg, model)
+    h = args.h if args.h is not None else h0
+    n, times = _grid(T, h)
     columns = {
         "f": integrate(stepper, base, y0, h, n).states,
         "fapp": integrate(stepper, model, y0, h, n).states,
         "dopri5": reference_trajectory(base, y0, times, tol=1e-6),
         "ref": reference_trajectory(base, y0, times, tol=1e-10),
     }
-    header = ["t"]
-    for inv in base.invariants:
-        header += [f"{inv}_{m}" for m in columns]
-    rows = []
-    for i, t in enumerate(times):
-        row = [t]
-        for inv, fn in base.invariants.items():
-            v0 = fn(y0)
-            row += [abs(fn(columns[m][i]) - v0) for m in columns]
-        rows.append(row)
-    path = out / "invariant_drift.csv"
-    _write_csv(path, "invariant-drift", cfg.seed, header, rows)
-    print(f"wrote {path}")
-    _write_manifest(out, "invariant-drift", cfg, cfg.seed, [args.model],
-                    [path], time.perf_counter() - t0)
-    return 0
+    header = ["t"] + [f"{inv}_{m}" for inv in base.invariants
+                      for m in columns]
+    rows = [[t] + [abs(fn(states[i]) - fn(y0))
+                   for fn in base.invariants.values()
+                   for states in columns.values()]
+            for i, t in enumerate(times)]
+    return [args.model], {"invariant_drift.csv": (header, rows)}
 
 
-def cmd_param_study(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_cfg(args)
-    out = _outdir(args)
+@_command("param-study")
+def cmd_param_study(args, cfg):
     base = get_system(cfg.system)
     widths = _ints(args.widths)
     depths = _ints(args.depths)
@@ -400,49 +366,32 @@ def cmd_param_study(args):
             for K in sizes for depth in depths for width in widths]
     rows = []
     for depth, sub in subs:
-        ds = training.generate_dataset(sub, workers=_workers())
-        train_set, test_set = training.split_dataset(
-            ds, sub.train_fraction, sub.seed)
-        model = neural.init_model(base, sub.scheme, sub.p,
-                                  sub.n_terms, sub.hidden, sub.seed)
-        model, _report = training.train(model, sub.scheme, train_set,
-                                        test_set, sub)
+        model, _report = _fit(sub, training.generate_dataset(
+            sub, workers=_workers()))
         delta = training.learning_error_delta(
             model, trunc, box, args.grid_n, hs)
         # weight count only; biases left out of the abscissa
         w = sum(wt.size for net in model.nets for wt in net.weights)
         rows.append([w, depth, sub.n_records, delta, np.sqrt(w)])
-    path = out / "param_study.csv"
-    _write_csv(path, "param-study", cfg.seed,
-               ["params_w", "depth", "data_K", "delta", "sqrt_w"], rows)
-    print(f"wrote {path}")
-    _write_manifest(out, "param-study", cfg, cfg.seed, [], [path],
-                    time.perf_counter() - t0)
-    return 0
+    return [], {"param_study.csv": (
+        ["params_w", "depth", "data_K", "delta", "sqrt_w"], rows)}
 
 
-def cmd_compare_alt(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_cfg(args)
-    out = _outdir(args)
+@_command("compare-alt")
+def cmd_compare_alt(args, cfg):
     model_std = neural.load_model(args.model_std)
     model_alt = neural.load_model(args.model_alt)
     if model_std.scheme != model_alt.scheme:
         raise ValueError(
             f"models trained for different schemes: {model_std.scheme!r} "
             f"vs {model_alt.scheme!r}")
-    base = model_std.base
-    scheme = model_std.scheme
-    stepper = get_stepper(scheme)
-    T = args.T if args.T is not None else _sim_defaults(cfg)[0]
-    y0 = _y0_for(args, base.name)
+    stepper, T, _h0, y0 = _orbit(args, cfg, model_std)
     hs = (_floats(args.h_list) if args.h_list
           else sorted({cfg.h_min / 2, cfg.h_min, 0.05, 0.1, 0.25, cfg.h_max}))
     rows = []
     for h in hs:
-        n = max(1, round(T / h))
-        times = h * np.arange(n + 1)
-        ref = reference_trajectory(base, y0, times, tol=1e-12)
+        n, times = _grid(T, h)
+        ref = reference_trajectory(model_std.base, y0, times, tol=1e-12)
         row = [h]
         for model in (model_std, model_alt):
             # worst one-step defect along the exact trajectory
@@ -452,25 +401,17 @@ def cmd_compare_alt(args):
             states = integrate(stepper, model, y0, h, n).states
             row.append(_max_traj_error(states, ref))
         rows.append(row)
-    path = out / "compare_alt.csv"
-    _write_csv(path, "compare-alt", cfg.seed,
-               ["h", "local_err_std", "local_err_alt",
-                "global_err_std", "global_err_alt"], rows)
-    print(f"wrote {path}")
-    _write_manifest(out, "compare-alt", cfg, cfg.seed,
-                    [args.model_std, args.model_alt], [path],
-                    time.perf_counter() - t0)
-    return 0
+    return [args.model_std, args.model_alt], {"compare_alt.csv": (
+        ["h", "local_err_std", "local_err_alt", "global_err_std",
+         "global_err_alt"], rows)}
 
 
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--preset", help="named configuration preset")
-    sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--out", default="out", help="output directory")
+def _add_orbit(p):
+    p.add_argument("--y0", help="comma-separated start state")
+    p.add_argument("--T", type=float)
 
 
 def build_parser():
@@ -480,83 +421,67 @@ def build_parser():
     parser.add_argument("--version", action="version", version=VERSION)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("generate", help="write an exact-flow dataset CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
+    def command(name, func, help, model=False):
+        p = subs.add_parser(name, help=help)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--preset", help="named configuration preset")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", default="out", help="output directory")
+        if model:
+            p.add_argument("--model", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("train", help="train the learned field end to end")
-    _add_common(p)
+    command("generate", cmd_generate, "write an exact-flow dataset CSV")
+    p = command("train", cmd_train, "train the learned field end to end")
     p.add_argument("--data", help="dataset CSV (generated if omitted)")
-    p.set_defaults(func=cmd_train)
+    command("train-alt", cmd_train_alt,
+            "train each correction term independently")
 
-    p = subs.add_parser("train-alt",
-                        help="train each correction term independently")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_alt)
-
-    p = subs.add_parser("field-error-map",
-                        help="learned-field error over the domain")
-    _add_common(p)
-    p.add_argument("--model", required=True)
+    p = command("field-error-map", cmd_field_error_map,
+                "learned-field error over the domain", model=True)
     p.add_argument("--k", type=int, default=2,
                    help="truncation depth of the analytic reference")
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--grid-n", type=int, default=41)
     p.add_argument("--h-list", help="steps for the max-error sweep")
-    p.set_defaults(func=cmd_field_error_map)
 
-    p = subs.add_parser("convergence", help="global error versus step size")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--y0", help="comma-separated start state")
-    p.add_argument("--T", type=float)
+    p = command("convergence", cmd_convergence,
+                "global error versus step size", model=True)
+    _add_orbit(p)
     p.add_argument("--h-list")
-    p.set_defaults(func=cmd_convergence)
 
-    p = subs.add_parser("efficiency", help="error versus wall-clock time")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--y0", help="comma-separated start state")
-    p.add_argument("--T", type=float)
+    p = command("efficiency", cmd_efficiency, "error versus wall-clock time",
+                model=True)
+    _add_orbit(p)
     p.add_argument("--h-list")
     p.add_argument("--tol-list", default="1e-4,1e-6,1e-8")
     p.add_argument("--k-list", default="2,3")
     p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(func=cmd_efficiency)
 
-    p = subs.add_parser("invariant-drift",
-                        help="conserved-quantity drift along trajectories")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--y0", help="comma-separated start state")
-    p.add_argument("--T", type=float)
+    p = command("invariant-drift", cmd_invariant_drift,
+                "conserved-quantity drift along trajectories", model=True)
+    _add_orbit(p)
     p.add_argument("--h", type=float)
-    p.set_defaults(func=cmd_invariant_drift)
 
-    p = subs.add_parser("param-study",
-                        help="learning error versus network size")
-    _add_common(p)
+    p = command("param-study", cmd_param_study,
+                "learning error versus network size")
     p.add_argument("--widths", default="10,25,50")
     p.add_argument("--depths", default="2")
     p.add_argument("--data-sizes")
     p.add_argument("--grid-n", type=int, default=41)
-    p.set_defaults(func=cmd_param_study)
 
-    p = subs.add_parser("compare-alt",
-                        help="standard versus per-term training")
-    _add_common(p)
+    p = command("compare-alt", cmd_compare_alt,
+                "standard versus per-term training")
     p.add_argument("--model-std", required=True)
     p.add_argument("--model-alt", required=True)
-    p.add_argument("--y0", help="comma-separated start state")
-    p.add_argument("--T", type=float)
+    _add_orbit(p)
     p.add_argument("--h-list")
-    p.set_defaults(func=cmd_compare_alt)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_steps(args)
         return args.func(args)

@@ -535,8 +535,8 @@ def theorem_bound(inputs, h):
     estimates of them it is an estimate, not a guarantee.  General form
     ``(C delta h^p / L)(e^{LT} - 1)`` with ``C = alpha``,
     ``L = alpha * lam`` and
-    ``alpha = |b|_1 (1 + lam h_+ |A|_inf e^{lam h_+ |A|_inf})``.
-    Euler and the explicit RK2 tableaus use their sharper constants; the
+    ``alpha = |b|_1 (1 + lam h_+ |A|_inf e^{lam h_+ |A|_inf})``, which is
+    1 for Euler.  The explicit RK2 tableaus use their sharper constant; the
     ``lam -> 0`` limit is taken continuously.
     """
     if not (0 < h <= inputs.h_plus):
@@ -544,8 +544,6 @@ def theorem_bound(inputs, h):
     tab = inputs.tableau
     delta, lam, T = inputs.delta, inputs.lam, inputs.T
     p = tab.order
-    if tab.name == "euler":
-        return delta * h * T * _expm1_over(lam * T)
     if tab.name in ("rk2_midpoint", "rk2_heun"):
         # (delta h^2 / lam)(e^{lam(1 + lam h_+/2)T} - 1), written through
         # expm1(x)/x so the lam -> 0 limit is delta h^2 T

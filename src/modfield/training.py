@@ -184,9 +184,26 @@ def format_config(cfg):
     return "\n".join(lines) + "\n"
 
 
+def _config_value(key, val, default):
+    if val == "":
+        return None
+    if isinstance(default, bool):
+        return val.lower() in ("1", "true", "yes")
+    if isinstance(default, int):
+        return int(val)
+    if isinstance(default, float):
+        return float(val)
+    if isinstance(default, tuple) or key in ("omega_shell", "hidden"):
+        parts = [p for p in val.split(",") if p.strip() != ""]
+        conv = int if key == "hidden" else float
+        return tuple(conv(p) for p in parts)
+    return val
+
+
 def parse_config(text, base=None):
     """Parse ``key=value`` lines into a TrainConfig (defaults from ``base``).
-    A ``p=`` line, as older configs carry, is checked against the scheme."""
+    A ``p=`` line, as older configs carry, is checked against the scheme.
+    A malformed value is a ``ValueError`` naming its line and key."""
     cfg = base or TrainConfig()
     by_name = {f.name: f for f in fields(cfg)}
     updates = {}
@@ -198,26 +215,16 @@ def parse_config(text, base=None):
         if "=" not in line:
             raise ValueError(f"config line {ln}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key == "p":
-            legacy_p = int(val)
-            continue
-        if key not in by_name:
+        if key != "p" and key not in by_name:
             raise ValueError(f"config line {ln}: unknown key {key!r}")
-        default = getattr(TrainConfig(), key)
-        if val == "":
-            updates[key] = None
-        elif isinstance(default, bool):
-            updates[key] = val.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            updates[key] = int(val)
-        elif isinstance(default, float):
-            updates[key] = float(val)
-        elif isinstance(default, tuple) or key in ("omega_shell", "hidden"):
-            parts = [p for p in val.split(",") if p.strip() != ""]
-            conv = int if key == "hidden" else float
-            updates[key] = tuple(conv(p) for p in parts)
-        else:
-            updates[key] = val
+        try:
+            if key == "p":
+                legacy_p = int(val)
+            else:
+                updates[key] = _config_value(key, val,
+                                             getattr(TrainConfig(), key))
+        except ValueError as exc:
+            raise ValueError(f"config line {ln}: {key}: {exc}") from None
     cfg = replace(cfg, **updates)
     if legacy_p is not None and legacy_p != cfg.p:
         raise ValueError(f"p must be the order of scheme {cfg.scheme!r}, "

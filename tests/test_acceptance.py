@@ -206,7 +206,7 @@ def test_criterion_6_error_bound(pendulum, desk_run):
         measured = global_error(model, "euler", h, 5.0, system=pendulum)
         rows.append((h, measured, theorem_bound(inputs, h)))
     ok = all(measured <= bound for _, measured, bound in rows)
-    report(6, "a-priori error bound", ok,
+    report(6, "estimated error bound", ok,
            f"delta={delta:.3e}, lam={lam:.3f}; " +
            ", ".join(f"h={h}: {m:.2e} <= {b:.2e}" for h, m, b in rows))
 

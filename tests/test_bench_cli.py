@@ -497,3 +497,64 @@ def test_unreachable_shell_is_a_numerical_failure(tmp_path, capsys):
     rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "record 0" in capsys.readouterr().err
+
+
+# a malformed value names its config line and key
+@pytest.mark.parametrize("line, key", [("epochs=x", "epochs"),
+                                       ("h_min=abc", "h_min"),
+                                       ("hidden=6,x", "hidden"),
+                                       ("omega_shell=1,b", "omega_shell"),
+                                       ("p=two", "p")])
+def test_malformed_config_value_names_line_and_key(tmp_path, cfg_file,
+                                                   capsys, line, key):
+    text = open(cfg_file).read() + line + "\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["generate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"config line {text.count(chr(10))}: {key}: " in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+# --y0 must hold the system's dim finite values, checked before any work
+@pytest.mark.parametrize("value", ["nan,0", "inf,0", "1.5", "1,2,3", "1,x"])
+@pytest.mark.parametrize("command", ["convergence", "efficiency",
+                                     "invariant-drift", "compare-alt"])
+def test_bad_start_state_is_a_usage_error(tmp_path, cfg_file, untrained,
+                                          capsys, command, value):
+    models = (["--model-std", untrained, "--model-alt", untrained]
+              if command == "compare-alt" else ["--model", untrained])
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg_file, *models, "--out", str(out),
+               "--T", "1.0", f"--y0={value}"])
+    assert rc == 2
+    assert "--y0 must be 2 finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a usage error found while a command runs leaves no output directory:
+# (extra arguments, MODFIELD_WORKERS) per command
+BODY_ERRORS = {
+    "generate": ([], "0"),
+    "train": (["--data", "missing.csv"], "1"),
+    "train-alt": ([], "0"),
+    "field-error-map": (["--model", "{untrained}", "--k", "9"], "1"),
+    "param-study": (["--widths", "0"], "1"),
+    "efficiency": (["--model", "{untrained}", "--repeats", "2"], "1"),
+}
+
+
+@pytest.mark.parametrize("command", BODY_ERRORS)
+def test_usage_error_leaves_no_output_directory(
+        tmp_path, cfg_file, untrained, capsys, monkeypatch, command):
+    extra, workers = BODY_ERRORS[command]
+    monkeypatch.setenv("MODFIELD_WORKERS", workers)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg_file, "--out", str(out),
+               *(a.format(untrained=untrained) for a in extra)])
+    assert rc == 2
+    capsys.readouterr()
+    assert not out.exists()

@@ -213,6 +213,16 @@ def test_theorem_bound_euler_formula():
     assert theorem_bound(inp, h) == pytest.approx(expect, rel=1e-13)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.8, 3.5])
+def test_theorem_bound_euler_is_its_closed_form_bit_for_bit(lam):
+    # the general formula at alpha = 1 is delta h T (e^{lam T} - 1)/(lam T)
+    inp = ErrorBoundInputs(delta=0.3, lam=lam, h_plus=0.5, T=4.0,
+                           tableau=get_tableau("euler"))
+    expect = 0.3 * 0.25 * 4.0 * (math.expm1(lam * 4.0) / (lam * 4.0)
+                                 if lam else 1.0)
+    assert theorem_bound(inp, 0.25) == expect
+
+
 def test_theorem_bound_zero_lipschitz_limits():
     # lam -> 0 must degrade continuously to delta h^p T
     eul = ErrorBoundInputs(delta=0.3, lam=0.0, h_plus=0.5, T=4.0,
@@ -224,7 +234,8 @@ def test_theorem_bound_zero_lipschitz_limits():
 
 
 def test_theorem_bound_generic_tableau_dominates_sharp():
-    # the generic constant is coarser than the Euler-specific one
+    # the generic constant is never below Euler's; at |b|_1 = 1, A = 0 it
+    # is Euler's
     delta, lam = 0.1, 0.9
     sharp = ErrorBoundInputs(delta=delta, lam=lam, h_plus=0.4, T=5.0,
                              tableau=get_tableau("euler"))
