@@ -17,6 +17,7 @@ import numpy as np
 
 from . import jets
 from .errors import FixedPointError, IntegrationFailureError, StageOverflowError
+from .systems import VectorFieldSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +307,9 @@ def _dopri5_plan():
 
 
 _DP_A, _DP_ROWS = _dopri5_plan()
+_DP_AF = _DP_A.tolist()
+_DP_B = _TABLEAUS["dopri5"].b.tolist()
+_DP_E = (_TABLEAUS["dopri5"].b - _TABLEAUS["dopri5"].b_emb).tolist()
 
 
 def _rms(x, sc):
@@ -321,45 +325,67 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     Embedded Dormand-Prince 5(4) pair with a PI step-size controller
     (safety 0.9, step-ratio clamp [0.2, 5]).  Every record carries its own
     controller state, so results are bitwise identical to running records
-    one at a time.
+    one at a time (one exception is named below).
 
     Returns ``(y, ok, t_reached)``.  Records whose step size underflows
     (or is not a number), or that are unfinished after ``_MAX_STEPS``
     steps, are flagged ``ok=False`` with the last reached time; no
     exception is raised here so that callers may resample.
-    Tolerances must be finite with ``atol > 0`` and ``rtol >= 0``
-    (``ValueError`` otherwise).
+    Tolerances must be finite with ``atol > 0`` and ``rtol >= 0``, and
+    every end time finite (``ValueError`` otherwise).
 
     With ``collect=True`` (single record only) additionally returns the
     accepted ``(times, states)`` history.
 
-    The loop's contract is that each record's arithmetic is fixed: every
-    output bit is pinned by the tests, so a rewrite may change how the
-    operations are issued (one ``h a_ij`` array per step, norms reduced as
-    ``np.mean`` reduces) but not which floating-point operations a record
-    sees.  One-row calls (every reference-trajectory segment) and wide
-    calls (dataset generation) share this one loop.  The field is called
-    on arrays it must not modify.  Two known speed-ups are left out on
-    purpose: reusing the last stage as the next step's first (FSAL) rounds
-    differently from ``y_new``, so it would move every output bit; and a
-    controller that lands on each output time instead of restarting costs
-    accuracy (``|ref(1e-12) - ref(1e-13)|`` grew from 8.8e-14 to about
-    2.5e-13 when tried).
+    The contract is that each record's arithmetic is fixed: every output
+    bit is pinned by the tests, so a rewrite may change how the operations
+    are issued but not which floating-point operations a record sees.
+    Two loops keep it, selected by row count.  A one-row call (every
+    reference-trajectory segment) runs :func:`_flow_one` on Python floats;
+    a wider call (dataset generation, per-term targets) runs
+    :func:`_flow_rows` on arrays, one ``h a_ij`` array per step and norms
+    reduced as ``np.mean`` reduces.  The float loop gets the array loop's
+    bits by these rules: powers go through ``np.power`` (float ``**`` and
+    ``math.pow`` round differently from numpy's array power); stage sums
+    start from ``0.0`` and add the weighted stages in stage order, zero
+    weights included, as ``einsum`` does; norms add the squared components
+    left to right; and minima and maxima propagate NaN as ``np.minimum``
+    and ``np.maximum`` do.  The one exception: once a wide call of a
+    one-component system narrows to one row, its ``(7, 1, 1)`` stage stack
+    sends ``einsum`` down its dot-product path, which adds the stages in
+    SIMD lanes, so that row's last bits differ from its one-row run.
+
+    The field is called on arrays it must not modify.  Two known speed-ups
+    are left out on purpose: reusing the last stage as the next step's
+    first (FSAL) rounds differently from ``y_new``, so it would move every
+    output bit; and a controller that lands on each output time instead of
+    restarting costs accuracy (``|ref(1e-12) - ref(1e-13)|`` grew from
+    8.8e-14 to about 2.5e-13 when tried).
     """
     if not (math.isfinite(atol) and math.isfinite(rtol)
             and atol > 0 and rtol >= 0):
         raise ValueError(f"need finite atol > 0 and rtol >= 0, got "
                          f"atol={atol!r}, rtol={rtol!r}")
-    tab = _TABLEAUS["dopri5"]
-    B, E = tab.b, tab.b - tab.b_emb
-
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
     t_end = np.asarray(t_end, dtype=float)
-    n, d = y0.shape
+    n = y0.shape[0]
     if t_end.shape != (n,):
         raise ValueError("t_end must have one entry per record")
+    bad = t_end[~np.isfinite(t_end)]
+    if bad.size:
+        raise ValueError(f"t_end must be finite, got {bad[0]}")
     if collect and n != 1:
         raise ValueError("collect requires a single record")
+    if n == 1:
+        return _flow_one(field, y0, t_end, atol, rtol, collect)
+    return _flow_rows(field, y0, t_end, atol, rtol)
+
+
+def _flow_rows(field, y0, t_end, atol, rtol):
+    """The array loop of :func:`adaptive_flow_batch`: all rows at once."""
+    tab = _TABLEAUS["dopri5"]
+    B, E = tab.b, tab.b - tab.b_emb
+    n, d = y0.shape
 
     out_y = y0.copy()
     out_ok = np.ones(n, dtype=bool)
@@ -367,8 +393,6 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
 
     idx = np.flatnonzero(t_end > 0)
     if idx.size == 0:
-        if collect:
-            return out_y, out_ok, out_reached, (np.zeros(1), y0.copy())
         return out_y, out_ok, out_reached
 
     y = y0[idx]
@@ -392,7 +416,6 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     h = np.minimum(np.minimum(100.0 * h0, h1), tend)
 
     facold = np.full(idx.size, 1e-4)
-    hist_t, hist_y = [0.0], [y0[0].copy()]
 
     step = 0
     while True:
@@ -431,10 +454,6 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
         facold = np.where(accept, np.maximum(err, 1e-4), facold)
         h = h_try * np.where(accept, grow, shrink)
 
-        if collect and accept[0]:
-            hist_t.append(float(t[0]))
-            hist_y.append(y[0].copy())
-
         done = accept & final
         t = np.where(done, tend, t)
         # a NaN step fails too
@@ -448,15 +467,143 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
             out_ok[idx[failed]] = False
             keep = ~out
             if not keep.any():
-                break
+                return out_y, out_ok, out_reached
             idx, y, t, tend, h, facold, h_floor = (
                 idx[keep], y[keep], t[keep], tend[keep],
                 h[keep], facold[keep], h_floor[keep],
             )
 
-    if collect:
-        return out_y, out_ok, out_reached, (np.array(hist_t), np.array(hist_y))
-    return out_y, out_ok, out_reached
+
+def _fmax(a, b):
+    """``np.maximum`` on two floats: NaN if either is NaN."""
+    return a if a >= b or a != a else b
+
+
+def _fmin(a, b):
+    """``np.minimum`` on two floats: NaN if either is NaN."""
+    return a if a <= b or a != a else b
+
+
+def _rms_one(x, sc):
+    """:func:`_rms` of one row given as floats."""
+    s = 0.0
+    for u, w in zip(x, sc):
+        q = u / w
+        s += q * q
+    return math.sqrt(s / len(x))
+
+
+def _dot(w, xs):
+    """``sum_s w_s xs_s`` accumulated from 0.0 in order, as ``einsum`` does
+    (not ``sum``, which compensates from Python 3.12 on)."""
+    s = 0.0
+    for a, x in zip(w, xs):
+        s += a * x
+    return s
+
+
+def _flow_one(field, y0, t_end, atol, rtol, collect):
+    """The float loop of :func:`adaptive_flow_batch`: one row, the same
+    arithmetic on Python floats.
+
+    A :class:`~modfield.systems.VectorFieldSpec` is evaluated through its
+    ``components`` on floats; its array call runs the same component code.
+    Any other field goes through its array call on a one-row array, since
+    learned and truncated fields round their component form differently
+    (their step powers are float ``**``).  The first evaluation always uses
+    the array call, so a state the field rejects raises as in the array
+    loop.
+    """
+    def on_rows(y, h):
+        out = field(np.array([y]), np.array([h]))
+        return np.asarray(out, dtype=float)[0].tolist()
+
+    if isinstance(field, VectorFieldSpec):
+        comps = field.components
+
+        def f(y, h):
+            return [float(c) for c in comps(y)]
+    else:
+        f = on_rows
+
+    tend = float(t_end[0])
+    y = y0[0].tolist()
+    hist_t, hist_y = [0.0], [y]
+
+    def result(y, ok, t):
+        out = np.array([y]), np.array([ok]), np.array([t])
+        if collect:
+            return out + ((np.array(hist_t), np.array(hist_y)),)
+        return out
+
+    if not tend > 0:
+        return result(y, True, tend)
+    t = 0.0
+    h_floor = 1e-13 * max(1.0, tend)
+
+    # starting step heuristic (one Euler probe)
+    sc = [atol + rtol * abs(u) for u in y]
+    f0 = on_rows(y, 0.0)
+    d0 = _rms_one(y, sc)
+    d1 = _rms_one(f0, sc)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / _fmax(d1, 1e-300)
+    h0 = _fmin(h0, tend)
+    f1 = f([u + h0 * v for u, v in zip(y, f0)], h0)
+    # an overflowing f0 makes h0 zero: divide as numpy does, not raise
+    d2 = float(np.float64(_rms_one([a - b for a, b in zip(f1, f0)], sc))
+               / h0)
+    dmax = _fmax(d1, d2)
+    if dmax <= 1e-15:
+        h1 = _fmax(1e-6, h0 * 1e-3)
+    else:
+        h1 = float(np.power(0.01 / dmax, 0.2))
+    h = _fmin(_fmin(100.0 * h0, h1), tend)
+
+    facold = 1e-4
+    step = 0
+    while True:
+        step += 1
+        rem = tend - t
+        final = h >= rem
+        h_try = rem if final else h
+        ha = [a * h_try for a in _DP_AF]
+
+        ks = [f(y, h_try)]
+        for row in _DP_ROWS[1:]:
+            yi = y
+            for k, j in row:
+                yi = [u + ha[k] * v for u, v in zip(yi, ks[j])]
+            ks.append(f(yi, h_try))
+        cols = list(zip(*ks))
+        y_new = [u + h_try * _dot(_DP_B, c) for u, c in zip(y, cols)]
+        err_vec = [h_try * _dot(_DP_E, c) for c in cols]
+
+        sc = [atol + rtol * _fmax(abs(u), abs(v)) for u, v in zip(y, y_new)]
+        err = _rms_one(err_vec, sc)
+        if math.isfinite(err) and all(map(math.isfinite, y_new)):
+            err = _fmax(err, 1e-300)
+        else:
+            err = math.inf
+        fac = _SAFETY * float(np.power(err, -_EXPO))
+        if err <= 1.0:
+            t = t + h_try
+            y = y_new
+            grow = fac * float(np.power(facold, _BETA))
+            h = h_try * _fmin(_fmax(grow, _FAC_MIN), _FAC_MAX)
+            facold = _fmax(err, 1e-4)
+            if collect:
+                hist_t.append(t)
+                hist_y.append(y)
+            if final:
+                return result(y, True, tend)
+        else:
+            h = h_try * _fmin(_fmax(fac, _FAC_MIN), 1.0)
+        # a NaN step fails too
+        if not h >= h_floor or step >= _MAX_STEPS:
+            return result(y, False, t)
 
 
 def dopri5_integrate(field, y0, t_end, atol, rtol):

@@ -179,6 +179,9 @@ def reference_trajectory(field, y0, times, tol=1e-12):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"times must be finite, got {bad[0]}")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing and start >= 0")
     y = np.asarray(y0, dtype=float)

@@ -106,6 +106,22 @@ def test_adaptive_flow_batch_failure_bits_are_pinned():
     assert reached[1:].tolist() == [0.3, 1.0, 2.0, 0.0]
     assert _digest(y, ok, reached) == (
         "3f24cac21ae4c9a7de982ac3ea5073c0589532c20b9e194601988d8f7b0c54a6")
+    # each row alone runs the one-row float loop and must give the same bits
+    # as the wide call, except the failing row's tail: once the other rows
+    # are out it runs alone on a (7, 1, 1) stage stack, for which numpy's
+    # einsum takes its dot-product path and adds the weighted stages in
+    # SIMD lanes instead of in stage order, so its last bits are the wide
+    # call's own
+    for i in range(5):
+        y1, ok1, reached1 = adaptive_flow_batch(
+            blowup, y0[i:i + 1], t_end[i:i + 1], 1e-10, 1e-10)
+        assert ok1[0] == ok[i]
+        if i == 0:
+            assert abs(reached1[0] - reached[0]) < 1e-14
+            assert abs(y1[0, 0] / y[0, 0] - 1.0) < 1e-8  # near the pole
+        else:
+            assert y1.tobytes() == y[i:i + 1].tobytes()
+            assert reached1.tobytes() == reached[i:i + 1].tobytes()
 
 
 _HISTORY = {

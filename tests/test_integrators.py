@@ -24,6 +24,7 @@ from modfield.integrators import (
     scheme_names,
     theorem_bound,
 )
+from modfield.modified_field import truncated_field
 from modfield.systems import (
     DomainBox,
     VectorFieldSpec,
@@ -133,17 +134,26 @@ def test_integrate_annotates_failing_step():
 
 
 def test_adaptive_flow_batch_matches_scalar(pendulum, rigid_body, rng):
-    t = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-    for field in (pendulum, rigid_body):
-        y0 = rng.uniform(-2, 2, size=(5, field.dim))
-        batch, ok, _ = adaptive_flow_batch(field, y0, t, 1e-10, 1e-10)
-        assert np.all(ok)
-        for i in range(5):
-            single, ok1, _ = adaptive_flow_batch(field, y0[i:i + 1],
-                                                 t[i:i + 1], 1e-10, 1e-10)
-            assert ok1[0]
-            # batching must not change a single record's arithmetic at all
-            assert np.array_equal(batch[i], single[0])
+    # a wide call runs the array loop and a one-row call the float loop:
+    # batching must not change a single record's arithmetic at all
+    t = np.array([0.5, 0.0, 1.5, -1.0, 2.5])
+
+    def plain(y, h):  # no ``components``: the float loop's array adapter
+        return pendulum(y)
+
+    for tol in (1e-4, 1e-10, 1e-13):
+        for field in (pendulum, rigid_body, plain,
+                      truncated_field(pendulum, "euler", 2)):
+            dim = 3 if field is rigid_body else 2
+            y0 = rng.uniform(-2, 2, size=(5, dim))
+            batch, ok, reached = adaptive_flow_batch(field, y0, t, tol, tol)
+            assert np.all(ok)
+            for i in range(5):
+                single, ok1, reached1 = adaptive_flow_batch(
+                    field, y0[i:i + 1], t[i:i + 1], tol, tol)
+                assert ok1[0]
+                assert batch[i].tobytes() == single[0].tobytes()
+                assert reached[i].tobytes() == reached1[0].tobytes()
 
 
 def test_adaptive_flow_reports_failure():
@@ -177,6 +187,32 @@ def test_adaptive_flow_fails_a_nan_step():
                                            np.array([1.0]), 1e-10, 1e-10)
     assert not ok[0] and reached[0] == 0.0
     assert len(calls) < 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_end_times_are_rejected(pendulum, bad):
+    y0 = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="t_end"):
+        adaptive_flow_batch(pendulum, np.array([y0, y0]),
+                            np.array([1.0, bad]), 1e-10, 1e-10)
+    with pytest.raises(ValueError, match="t_end"):
+        adaptive_flow_batch(pendulum, y0[None, :], np.array([bad]),
+                            1e-10, 1e-10)
+    with pytest.raises(ValueError, match="t_end"):
+        dopri5_integrate(pendulum, y0, bad, 1e-10, 1e-10)
+    with pytest.raises(ValueError, match="times"):
+        reference_trajectory(pendulum, y0, [bad])
+    with pytest.raises(ValueError, match="times"):
+        reference_trajectory(pendulum, y0, [0.5, bad])
+
+
+def test_one_row_flow_rejects_a_state_of_the_wrong_size(pendulum):
+    # the pendulum's components read two values and would ignore a third
+    y0 = np.array([1.0, 0.0, 0.5])
+    with pytest.raises(ValueError, match="last dimension 3, expected 2"):
+        reference_trajectory(pendulum, y0, [0.5])
+    with pytest.raises(ValueError, match="last dimension 3, expected 2"):
+        dopri5_integrate(pendulum, y0, 0.5, 1e-10, 1e-10)
 
 
 def test_dopri5_integrate_accuracy(pendulum):
