@@ -29,11 +29,10 @@ from .neural import (AdamState, MlpParams, ModifiedFieldModel, adam_update,
                      save_model, scheme_step, step_loss, step_loss_and_grad)
 from .systems import (DomainBox, VectorFieldSpec, get_system, pendulum_field,
                       reference_trajectory, rigid_body_field, system_names)
-from .training import (Dataset, DatasetRecord, LossReport, TrainConfig,
-                       alt_extract_targets, alt_train,
-                       build_alt_training_data, generate_dataset, get_preset,
-                       learning_error_delta, load_config, load_dataset,
-                       parse_config, save_config, save_dataset,
+from .training import (Dataset, LossReport, TrainConfig, alt_extract_targets,
+                       alt_train, build_alt_training_data, generate_dataset,
+                       get_preset, learning_error_delta, load_config,
+                       load_dataset, parse_config, save_config, save_dataset,
                        split_dataset, train)
 
 __version__ = "0.1.0"

@@ -344,25 +344,36 @@ def _on_tape(nets):
 # -- loss and gradients ------------------------------------------------
 
 
-def _batch_arrays(batch):
-    if hasattr(batch, "y0"):
-        return (np.asarray(batch.y0, dtype=float),
-                np.asarray(batch.h, dtype=float),
-                np.asarray(batch.y1, dtype=float))
-    y0 = np.stack([np.asarray(r.y0, dtype=float) for r in batch])
-    h = np.array([float(r.h) for r in batch])
-    y1 = np.stack([np.asarray(r.y1, dtype=float) for r in batch])
-    return y0, h, y1
-
-
 def step_loss(model, scheme, batch):
     """Mean of ``h^{-(2p+2)} |step(y0) - y1|^2`` without gradients."""
-    y0, h, y1 = _batch_arrays(batch)
-    if y0.shape[0] == 0:
+    if len(batch) == 0:
         return 0.0
-    pred = scheme_step(model, scheme, y0, h)
-    w = h ** (-(2 * model.p + 2))
-    return float(np.mean(w * np.sum((pred - y1) ** 2, axis=-1)))
+    pred = scheme_step(model, scheme, batch.y0, batch.h)
+    w = batch.h ** (-(2 * model.p + 2))
+    return float(np.mean(w * np.sum((pred - batch.y1) ** 2, axis=-1)))
+
+
+def _tape_loss_and_grad(nets, residual, w):
+    """Weighted mean square of ``residual(taped_nets)`` and its gradient.
+
+    ``residual`` runs on tape copies of ``nets`` (:func:`_on_tape`) and
+    returns a ``(B, d)`` Var; record ``i`` has weight ``w[i]``.  Returns
+    ``(loss, grad)`` with ``grad`` one vector laid out like the nets'
+    vectors in order.  Raises :class:`TrainingDivergedError` naming the
+    first offending record when the loss is not finite.
+    """
+    taped = _on_tape(nets)
+    resid = residual(taped)
+    loss = _tape.weighted_sumsq(resid, w) * (1.0 / len(w))
+    if not np.isfinite(loss.value):
+        per_record = w * np.sum(resid.value**2, axis=-1)
+        bad = np.flatnonzero(~np.isfinite(per_record))
+        record = int(bad[0]) if bad.size else int(np.argmax(per_record))
+        raise TrainingDivergedError(
+            f"non-finite training loss at record {record}", record=record
+        )
+    _tape.backward(loss)
+    return float(loss.value), np.concatenate([n.vector.grad for n in taped])
 
 
 def step_loss_and_grad(model, scheme, batch):
@@ -375,24 +386,16 @@ def step_loss_and_grad(model, scheme, batch):
     ``model.theta``.  Raises :class:`TrainingDivergedError` naming the
     first offending record when the loss is not finite.
     """
-    y0, h, y1 = _batch_arrays(batch)
-    if y0.shape[0] == 0:
+    if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    nets = _on_tape(model.nets)
-    taped = copy.copy(model)
-    taped.term_nets, taped.remainder_net = nets[:-1], nets[-1]
-    resid = scheme_step(taped, scheme, y0, h) - y1
-    w = h ** (-(2 * model.p + 2))
-    loss = _tape.weighted_sumsq(resid, w) * (1.0 / y0.shape[0])
-    if not np.isfinite(loss.value):
-        per_record = w * np.sum(resid.value**2, axis=-1)
-        bad = np.flatnonzero(~np.isfinite(per_record))
-        record = int(bad[0]) if bad.size else int(np.argmax(per_record))
-        raise TrainingDivergedError(
-            f"non-finite training loss at record {record}", record=record
-        )
-    _tape.backward(loss)
-    return float(loss.value), np.concatenate([n.vector.grad for n in nets])
+
+    def residual(nets):
+        taped = copy.copy(model)
+        taped.term_nets, taped.remainder_net = nets[:-1], nets[-1]
+        return scheme_step(taped, scheme, batch.y0, batch.h) - batch.y1
+
+    return _tape_loss_and_grad(model.nets, residual,
+                               batch.h ** (-(2 * model.p + 2)))
 
 
 # -- Adam ---------------------------------------------------------------

@@ -23,9 +23,12 @@ a new ``PCG64`` from the same words set to the same position, which is
 far cheaper than copying through pickling.
 
 The standard method trains all networks jointly through the integrator
-step.  The alternative method first extracts per-term targets from flows
-at several step sizes by least squares, then regresses each network
-independently (parallelizable, one job per network).
+step.  The alternative method, for Euler only, first extracts per-term
+targets from flows at several step sizes by least squares, then regresses
+each network independently (parallelizable, one job per network).  Both
+run the same mini-batch Adam driver (``_descend``); a divergence names
+the epoch, the batch and the record's index into the set being trained,
+and on the per-term route the network.
 """
 
 import copy
@@ -35,28 +38,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from . import _tape, neural
+from . import neural
 from .errors import (ConditioningError, DomainSamplingError,
                      IntegrationFailureError, TrainingDivergedError)
-from .integrators import (adaptive_flow_batch, box_grid, canonical_scheme,
-                          get_tableau)
+from .integrators import adaptive_flow_batch, box_grid, get_tableau
 from .modified_field import max_truncation
 from .systems import DomainBox, get_system
 
 
-class DatasetRecord(NamedTuple):
-    y0: np.ndarray
-    h: float
-    y1: np.ndarray
-
-
 @dataclass
 class Dataset:
-    """Array-backed sequence of (y0, h, y1) records."""
+    """(y0, h, y1) records as float arrays, one row per record."""
 
     y0: np.ndarray
     h: np.ndarray
@@ -79,15 +74,6 @@ class Dataset:
 
     def __len__(self):
         return self.y0.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return DatasetRecord(self.y0[i], float(self.h[i]), self.y1[i])
-        return self.subset(np.arange(len(self))[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def subset(self, idx):
         return Dataset(self.y0[idx], self.h[idx], self.y1[idx],
@@ -187,8 +173,6 @@ def format_config(cfg):
 def _config_value(key, val, default):
     if val == "":
         return None
-    if isinstance(default, bool):
-        return val.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(val)
     if isinstance(default, float):
@@ -559,34 +543,51 @@ def _full_loss(model, scheme, ds, chunk=100_000):
     return total / len(ds)
 
 
+def _descend(theta, n, grad_at, cfg, seed, what):
+    """Mini-batch Adam on ``theta`` over a set of ``n`` records.
+
+    Each epoch shuffles with ``default_rng(seed)`` and makes one update
+    per batch from ``grad_at(idx)``, the gradient on records ``idx``,
+    then yields its number.  A divergence is re-raised naming ``what``,
+    the epoch, the batch and the record's index into the set.
+    """
+    state = neural.AdamState(cfg.learning_rate, cfg.weight_decay)
+    rng = np.random.default_rng(seed)
+    for epoch in range(1, cfg.epochs + 1):
+        perm = rng.permutation(n)
+        for bi, s in enumerate(range(0, n, cfg.batch_size)):
+            idx = perm[s:s + cfg.batch_size]
+            try:
+                grad = grad_at(idx)
+            except TrainingDivergedError as exc:
+                record = int(idx[exc.record])
+                raise TrainingDivergedError(
+                    f"{what} diverged at epoch {epoch}, batch {bi}: "
+                    f"non-finite loss at record {record}",
+                    epoch=epoch, batch=bi, record=record) from exc
+            neural.adam_update(theta, grad, state)
+        yield epoch
+
+
 def train(model, scheme, train_set, test_set, cfg):
     """Mini-batch Adam on the one-step loss; deterministic from cfg.seed.
 
     Mutates ``model`` in place and returns ``(model, LossReport)``.  The
     report carries full-set losses after every epoch; divergence aborts
-    with the (epoch, batch, record) coordinates attached.
+    with the (epoch, batch, record) coordinates attached, the record
+    indexing ``train_set``.
     """
-    scheme = canonical_scheme(scheme)
     report = LossReport(
         initial_train=_full_loss(model, scheme, train_set),
         initial_test=_full_loss(model, scheme, test_set))
-    if cfg.epochs == 0:
-        return model, report
-    state = neural.AdamState(cfg.learning_rate, cfg.weight_decay)
-    shuffle_rng = np.random.default_rng([cfg.seed, 977])
-    n = len(train_set)
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        perm = shuffle_rng.permutation(n)
-        for bi, s in enumerate(range(0, n, cfg.batch_size)):
-            batch = train_set.subset(perm[s:s + cfg.batch_size])
-            try:
-                _loss, grad = neural.step_loss_and_grad(model, scheme, batch)
-            except TrainingDivergedError as exc:
-                raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch}, batch {bi}: {exc}",
-                    epoch=epoch, batch=bi, record=exc.record) from exc
-            neural.adam_update(model.theta, grad, state)
+
+    def grad_at(idx):
+        batch = train_set.subset(idx)
+        return neural.step_loss_and_grad(model, scheme, batch)[1]
+
+    t0 = time.perf_counter()
+    for epoch in _descend(model.theta, len(train_set), grad_at, cfg,
+                          [cfg.seed, 977], "training"):
         lt = _full_loss(model, scheme, train_set)
         lv = _full_loss(model, scheme, test_set)
         report.train_losses.append(lt)
@@ -595,6 +596,7 @@ def train(model, scheme, train_set, test_set, cfg):
         if cfg.print_every and (epoch % cfg.print_every == 0
                                 or epoch == cfg.epochs):
             print(f"[epoch {epoch:4d}] loss_train={lt:.6e} loss_test={lv:.6e}")
+        t0 = time.perf_counter()
     return model, report
 
 
@@ -667,37 +669,29 @@ def alt_extract_targets(field_, y0, steps, n_terms, p, tol=1e-12,
     return coeffs, r_targets
 
 
-def _regress_loss_and_grad(net, x, t, record=None):
+def _regress_loss_and_grad(net, x, t):
     """Batch mean of ``|net(x) - t|^2`` and its gradient, one vector
     aligned with ``net.vector``.  A non-finite loss raises
-    :class:`TrainingDivergedError` carrying ``record``."""
-    (on_tape,) = neural._on_tape([net])
-    resid = neural.mlp_forward(on_tape, x) - t
-    loss = _tape.weighted_sumsq(resid, np.ones(len(x))) * (1.0 / len(x))
-    if not np.isfinite(loss.value):
-        raise TrainingDivergedError("regression loss is not finite",
-                                    record=record)
-    _tape.backward(loss)
-    return float(loss.value), on_tape.vector.grad
+    :class:`TrainingDivergedError` naming the first offending row."""
+    return neural._tape_loss_and_grad(
+        [net], lambda nets: neural.mlp_forward(nets[0], x) - t,
+        np.ones(len(x)))
 
 
 def _regress_job(args):
-    """Train one network against fixed targets; pure function of args."""
-    (sizes, weights, biases, X, T, lr, wd, batch_size, epochs, seed) = args
+    """Train net ``j`` against fixed targets; pure function of args."""
+    (sizes, weights, biases, X, T, cfg, j, name) = args
     net = neural.MlpParams(list(sizes), weights, biases)  # owns a copy
-    state = neural.AdamState(lr, wd)
-    rng = np.random.default_rng(seed)
-    n = len(X)
+
+    def grad_at(idx):
+        return _regress_loss_and_grad(net, X[idx], T[idx])[1]
+
     losses = []
-    for _epoch in range(epochs):
-        perm = rng.permutation(n)
-        for s in range(0, n, batch_size):
-            idx = perm[s:s + batch_size]
-            _loss, grad = _regress_loss_and_grad(net, X[idx], T[idx],
-                                                 record=int(idx[0]))
-            neural.adam_update(net.vector, grad, state)
+    for _epoch in _descend(net.vector, len(X), grad_at, cfg,
+                           [cfg.seed, 50 + j], f"regression of {name}"):
         err = neural.mlp_forward(net, X) - T
-        losses.append(float(np.mean(np.sum(err**2, axis=-1))))
+        losses.append(float(np.mean(np.sum(err**2, axis=-1))) if len(X)
+                      else 0.0)
     return net.vector, losses
 
 
@@ -718,11 +712,10 @@ def alt_train(nets, term_data, remainder_data, cfg, workers=1):
     jobs = []
     for j, net in enumerate(nets):
         data_x, data_t = (X, C[j]) if j < len(C) else (XR, R)
+        name = f"net {j}" if j < len(C) else f"net {j} (remainder)"
         jobs.append((tuple(net.layer_sizes), net.weights, net.biases,
                      np.asarray(data_x, dtype=float),
-                     np.asarray(data_t, dtype=float),
-                     cfg.learning_rate, cfg.weight_decay,
-                     cfg.batch_size, cfg.epochs, [cfg.seed, 50 + j]))
+                     np.asarray(data_t, dtype=float), cfg, j, name))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_regress_job, jobs))
@@ -743,6 +736,9 @@ def build_alt_training_data(cfg, workers=1):
     ``geomspace(h_min, h_max, cfg.n_steps)``.  Returns
     ``(X, C, XR, R, steps)``.
     """
+    if cfg.scheme != "euler":
+        raise ValueError(f"scheme: the per-term route fits Euler defects, "
+                         f"so it needs scheme 'euler', got {cfg.scheme!r}")
     field_ = get_system(cfg.system)
     box = cfg.domain()
     K = int(cfg.n_records)

@@ -26,7 +26,7 @@ from modfield.modified_field import truncated_field
 from modfield.neural import init_model, step_loss, step_loss_and_grad
 from modfield.systems import get_system, reference_trajectory
 from modfield.training import (
-    DatasetRecord,
+    Dataset,
     TrainConfig,
     alt_extract_targets,
     generate_dataset,
@@ -133,12 +133,14 @@ def test_criterion_3_analytic_vs_extracted_corrections():
 
 def test_criterion_4_gradients(pendulum):
     rng = np.random.default_rng(77)
-    batch = []
+    y0s, hs, y1s = [], [], []
     for _ in range(8):
         y0 = rng.uniform(-1.5, 1.5, size=2)
         h = rng.uniform(0.1, 0.6)
-        batch.append(DatasetRecord(y0, h, y0 + h * pendulum(y0)
-                                   + 1e-3 * rng.normal(size=2)))
+        y0s.append(y0)
+        hs.append(h)
+        y1s.append(y0 + h * pendulum(y0) + 1e-3 * rng.normal(size=2))
+    batch = Dataset(y0s, hs, y1s)
     worst = 0.0
     for scheme, p in (("euler", 1), ("rk2", 2), ("midpoint", 2)):
         model = init_model(pendulum, scheme, p, 2, (6, 6), 11)

@@ -558,3 +558,15 @@ def test_usage_error_leaves_no_output_directory(
     assert rc == 2
     capsys.readouterr()
     assert not out.exists()
+
+
+# the per-term route fits Euler defects, so it refuses any other scheme
+@pytest.mark.parametrize("scheme", ["rk2", "rk2_heun", "midpoint"])
+def test_per_term_route_refuses_a_non_euler_scheme(tmp_path, capsys, scheme):
+    cfg = tmp_path / "scheme.cfg"
+    save_config(micro_cfg(scheme=scheme), cfg)
+    out = tmp_path / "o"
+    rc = main(["train-alt", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "error: scheme: " in capsys.readouterr().err
+    assert not out.exists()

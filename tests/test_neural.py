@@ -15,7 +15,6 @@ from modfield.integrators import get_tableau, rk_step
 from modfield.neural import (
     AdamState,
     MIDPOINT_UNROLL,
-    _batch_arrays,
     _on_tape,
     adam_update,
     init_model,
@@ -28,7 +27,7 @@ from modfield.neural import (
     step_loss_and_grad,
 )
 from modfield.systems import get_system
-from modfield.training import DatasetRecord
+from modfield.training import Dataset
 
 
 def tiny_model(base, scheme="euler", p=1, n_terms=1, hidden=(8, 8), seed=3):
@@ -188,7 +187,7 @@ def _synthetic_batch(base, model, n, seed, h_range=(0.1, 0.5)):
     y0 = rng.uniform(-1.5, 1.5, size=(n, d))
     h = rng.uniform(*h_range, size=n)
     y1 = scheme_step(model, "euler", y0, h) + 1e-3 * rng.standard_normal((n, d))
-    return [DatasetRecord(y0=a, h=float(b), y1=c) for a, b, c in zip(y0, h, y1)]
+    return Dataset(y0, h, y1)
 
 
 def test_step_loss_known_value(pendulum):
@@ -199,8 +198,7 @@ def test_step_loss_known_value(pendulum):
     y0 = np.array([1.0, 0.0])
     h = 0.5
     y1 = y0 + h * pendulum(y0) + np.array([0.1, -0.2])
-    rec = DatasetRecord(y0=y0, h=h, y1=y1)
-    loss = step_loss(model, "euler", [rec])
+    loss = step_loss(model, "euler", Dataset(y0, h, y1))
     expect = h ** -4 * (0.1 ** 2 + 0.2 ** 2)
     assert loss == pytest.approx(expect, rel=1e-14)
 
@@ -209,7 +207,7 @@ def test_step_loss_permutation_invariant(pendulum):
     model = tiny_model(pendulum)
     batch = _synthetic_batch(pendulum, model, 64, seed=5)
     a = step_loss(model, "euler", batch)
-    b = step_loss(model, "euler", batch[::-1])
+    b = step_loss(model, "euler", batch.subset(np.arange(64)[::-1]))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -264,7 +262,7 @@ def test_tape_has_one_leaf_per_net_and_one_node_per_pass(pendulum, scheme,
         assert np.shares_memory(taped.vector.value, net.vector)
     taped_model = copy.copy(model)
     taped_model.term_nets, taped_model.remainder_net = nets[:-1], nets[-1]
-    y0, h, y1 = _batch_arrays(batch)
+    y0, h, y1 = batch.y0, batch.h, batch.y1
     resid = scheme_step(taped_model, scheme, y0, h) - y1
     loss = weighted_sumsq(resid, h ** (-(2 * p + 2))) * (1.0 / len(batch))
     graph = _tape_nodes(loss)

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -374,10 +375,9 @@ def test_split_dataset():
 def test_dataset_indexing():
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0) + 1.0,
                  np.zeros((4, 2)))
-    rec = ds[2]
-    assert np.array_equal(rec.y0, [4.0, 5.0]) and rec.h == 3.0
-    sub = ds[1:3]
+    sub = ds.subset(slice(1, 3))
     assert len(sub) == 2 and np.array_equal(sub.h, [2.0, 3.0])
+    assert np.array_equal(sub.y0[1], [4.0, 5.0])
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(2), np.zeros((3, 2)))
 
@@ -431,6 +431,39 @@ def test_train_divergence_is_reported(micro_data, pendulum):
         with pytest.raises(TrainingDivergedError) as exc:
             train(model, cfg.scheme, tr, te, bad)
     assert exc.value.epoch >= 1 and exc.value.batch >= 1
+
+
+def test_train_divergence_names_the_training_set_record(micro_data,
+                                                       pendulum):
+    cfg, tr, te = micro_data
+    k = 17
+    bad = tr.subset(np.arange(len(tr)))
+    bad.y1[k] = np.nan
+    model = init_model(pendulum, cfg.scheme, cfg.p, cfg.n_terms,
+                       cfg.hidden, cfg.seed)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(model, cfg.scheme, bad, te, cfg)
+    perm = np.random.default_rng([cfg.seed, 977]).permutation(len(tr))
+    position = int(np.flatnonzero(perm == k)[0])
+    assert exc.value.epoch == 1
+    assert exc.value.batch == position // cfg.batch_size
+    assert exc.value.record == k
+    assert f"record {k}" in str(exc.value)
+    assert f"batch {exc.value.batch}" in str(exc.value)
+
+
+def test_empty_training_sets_report_zero_losses(pendulum):
+    cfg = micro_config(n_records=0, n_terms=3, n_steps=4)
+    empty = generate_dataset(cfg)
+    model = init_model(pendulum, cfg.scheme, cfg.p, cfg.n_terms,
+                       cfg.hidden, cfg.seed)
+    X, C, XR, R, _ = build_alt_training_data(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, report = train(model, cfg.scheme, empty, empty, cfg)
+        _, histories = alt_train(model.nets, (X, C), (XR, R), cfg)
+    assert report.train_losses == report.test_losses == [0.0] * cfg.epochs
+    assert histories == [[0.0] * cfg.epochs] * 3
 
 
 # -- per-term target extraction --------------------------------------------
@@ -542,6 +575,25 @@ def test_alt_train_worker_independent(pendulum):
     for n, c in zip(nets, copies):
         assert all(np.array_equal(w, wc) for w, wc in zip(n.weights, c.weights))
         assert all(np.array_equal(b, bc) for b, bc in zip(n.biases, c.biases))
+
+
+def test_alt_train_divergence_names_the_net_and_record(pendulum):
+    cfg = micro_config(n_records=20, batch_size=10, epochs=2, n_terms=3,
+                       seed=3, n_steps=4)
+    X, C, XR, R, _ = build_alt_training_data(cfg)
+    k = 40
+    R[k] = np.inf
+    nets = [mlp_init([2, 6, 2], [3, 0]), mlp_init([2, 6, 2], [3, 1]),
+            mlp_init([3, 6, 2], [3, 2])]
+    with pytest.raises(TrainingDivergedError) as exc:
+        alt_train(nets, (X, C), (XR, R), cfg)
+    perm = np.random.default_rng([cfg.seed, 52]).permutation(len(R))
+    position = int(np.flatnonzero(perm == k)[0])
+    assert "net 2 (remainder)" in str(exc.value)
+    assert exc.value.epoch == 1
+    assert exc.value.batch == position // cfg.batch_size
+    assert exc.value.record == k
+    assert f"record {k}" in str(exc.value)
 
 
 @pytest.mark.parametrize("sizes", [[2, 8, 8, 2], [3, 8, 8, 2]])
