@@ -1,9 +1,9 @@
 """Scalar math that dispatches on the operand type.
 
-Vector fields and network layers are written against these helpers so the
-same component code evaluates on floats, numpy arrays, Taylor jets and
-autodiff variables.  Any object exposing a ``sin``/``cos``/``tanh`` method
-is routed to that method; everything else goes through numpy.
+Vector fields are written against these helpers so the same component
+code evaluates on floats, numpy arrays, Taylor jets and tape variables.
+Any object exposing a ``sin``/``cos`` method is routed to that method;
+everything else goes through numpy.
 """
 
 import numpy as np
@@ -15,7 +15,3 @@ def sin(x):
 
 def cos(x):
     return x.cos() if hasattr(x, "cos") else np.cos(x)
-
-
-def tanh(x):
-    return x.tanh() if hasattr(x, "tanh") else np.tanh(x)

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import __version__, modified_field, neural, training
 from .errors import CheckpointError, ModfieldError, UnsupportedTruncationError
-from .integrators import (box_grid, canonical_scheme, dopri5_integrate,
-                          get_stepper, integrate)
+from .integrators import box_grid, dopri5_integrate, get_stepper, integrate
 from .systems import get_system, reference_trajectory
 
 VERSION = __version__
@@ -157,10 +156,11 @@ def _check_steps(args):
 
 def _orbit(args, cfg, model):
     """Stepper, horizon ``T``, default step and start state ``y0`` of an
-    orbit command; ``--y0`` must hold the system's ``dim`` finite values."""
-    T, h0 = BENCH_DEFAULTS.get((cfg.system, canonical_scheme(cfg.scheme)),
-                               (20.0, cfg.h_min))
+    orbit command, looked up by the model's system and scheme (the step
+    falls back to ``cfg.h_min``); ``--y0`` must hold the system's ``dim``
+    finite values."""
     base = model.base
+    T, h0 = BENCH_DEFAULTS.get((base.name, model.scheme), (20.0, cfg.h_min))
     try:
         y0 = np.array(_floats(args.y0) if args.y0 else DEFAULT_Y0[base.name])
         ok = y0.shape == (base.dim,) and np.isfinite(y0).all()
@@ -221,8 +221,7 @@ def cmd_train(args, cfg):
 @_command("train-alt")
 def cmd_train_alt(args, cfg):
     model = _init_model(cfg)
-    X, C, XR, R, _steps = training.build_alt_training_data(
-        cfg, workers=_workers())
+    X, C, XR, R, _steps = training.build_alt_training_data(cfg)
     _nets, histories = training.alt_train(model.nets, (X, C), (XR, R), cfg,
                                           workers=_workers())
     header = ["epoch"] + [f"mse_term{j + 1}" for j in range(len(C))] \

@@ -96,17 +96,6 @@ class Jet:
             c.append(ck)
         return Jet(s), Jet(c)
 
-    def tanh(self):
-        u = self.coeffs
-        m = self.order
-        t = [_m.tanh(u[0])]
-        v = [1.0 - t[0] * t[0]]  # v = 1 - tanh^2
-        for k in range(1, m + 1):
-            tk = sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
-            t.append(tk)
-            v.append(-sum(t[i] * t[k - i] for i in range(k + 1)))
-        return Jet(t)
-
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
 
@@ -114,9 +103,11 @@ class Jet:
 def dd_components(g, comps, v_comps, h=None):
     """Directional derivative at the component level (nestable form).
 
-    ``g`` either exposes ``components(comps, h)`` (vector fields, learned
-    models) or is a plain callable on component tuples.  Components may
-    be floats, arrays, or jets; the result is a tuple in the same ring.
+    ``g`` either exposes ``components(comps, h)`` (base fields, truncated
+    modified fields) or is a plain callable on component tuples; learned
+    models have neither and give their Jacobian in closed form
+    (``ModifiedFieldModel.jacobian``).  Components may be floats, arrays,
+    or jets; the result is a tuple in the same ring.
     ``dg(y) . v`` is read off as the order-1 Taylor coefficient of
     ``t -> g(y + t v)``.
     """
@@ -140,6 +131,15 @@ def directional_derivative(g, y, v, h=None):
     if np.shape(y) != np.shape(v):
         raise ValueError("y and v must have identical shapes")
     return stack(dd_components(g, split(y), split(v), h))
+
+
+def jacobian(g, y, h=None):
+    """Jacobian ``dg(y)`` shaped ``(..., d, d)``, column ``j`` the
+    directional derivative along coordinate ``j``."""
+    y = np.asarray(y, dtype=float)
+    return np.stack([directional_derivative(g, y, np.broadcast_to(e, y.shape),
+                                            h) for e in np.eye(y.shape[-1])],
+                    axis=-1)
 
 
 def split(y):

@@ -12,13 +12,15 @@ minimizes the h-weighted one-step mean squared error.  Its step is the
 inference step: :func:`scheme_step` runs on a copy of the model whose
 nets each have one tape leaf, their parameter vector (``_tape``), so
 the same forward pass and the same Runge-Kutta stage loop build the
-graph that gradients flow back through.  Each MLP pass is one tape
-node: its forward runs on plain arrays and keeps the activations, and
-its backward is the closed-form tanh-MLP vector-Jacobian product,
-written into one flat gradient laid out like the net's vector.  Each
-model keeps all its parameters in one vector ``theta``; the per-layer
-weights and biases are views into it, and gradients and Adam work on
-the whole vector.
+graph that gradients flow back through.  An MLP has one forward pass,
+``_layers`` on arrays, and one backward, the closed-form tanh-MLP
+vector-Jacobian product ``_mlp_backward``: each pass on the tape is one
+node with that backward, and the per-term regression calls it with no
+tape.  The input Jacobian runs the same ``(1 - a^2)`` recurrence, so
+the learned field's Jacobian is closed-form too.  Each model keeps all
+its parameters in one vector ``theta``; the per-layer weights and
+biases are views into it, and gradients and Adam work on the whole
+vector.
 
 All arithmetic is float64: the loss weights h^{-(2p+2)} span many orders
 of magnitude over a step range like [0.1, 2.5].
@@ -31,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _tape
-from ._mathops import tanh
+from . import _tape, jets
 from .errors import (
     CheckpointFormatError,
     CheckpointShapeError,
@@ -121,6 +122,40 @@ def _layers(net, x, keep=None):
     return x
 
 
+def _mlp_backward(net, acts, g):
+    """The closed-form tanh-MLP vector-Jacobian product of one pass.
+
+    ``acts`` are the layer inputs :func:`_layers` kept and ``g`` is the
+    gradient at the pass's output.  Returns the parameter gradient, one
+    flat vector laid out like ``net.vector`` (per layer the weight, then
+    the bias), and the gradient at the first layer's output.
+    """
+    grad = np.empty(sum(w.size + b.size
+                        for w, b in zip(net.weights, net.biases)))
+    end = grad.size
+    for i in range(len(acts) - 1, -1, -1):
+        w, a = net.weights[i], acts[i]
+        grad[end - w.shape[0]:end] = g.sum(axis=0)
+        end -= w.shape[0]
+        grad[end - w.size:end] = (g.T @ a).ravel()
+        end -= w.size
+        if i:
+            g = (g @ w) * (1.0 - a * a)
+    return grad, g
+
+
+def _mlp_jacobian(net, x):
+    """Input Jacobian of the net at rows ``x`` (..., input), shaped
+    ``(..., output, input)``: the ``(1 - a^2)`` recurrence of
+    :func:`_mlp_backward`, carried forward."""
+    acts = []
+    _layers(net, x, acts)
+    jac = net.weights[0]
+    for w, a in zip(net.weights[1:], acts[1:]):
+        jac = w @ ((1.0 - a * a)[..., :, None] * jac)
+    return jac
+
+
 def mlp_forward(net, x):
     """Evaluate the network on ``x`` with shape ``(..., input)``.
 
@@ -140,44 +175,13 @@ def mlp_forward(net, x):
     out = _layers(net, xv, acts)
 
     def back(g):
-        # closed-form tanh-MLP VJP into a flat gradient laid out like
-        # ``vector``: per layer the weight, then the bias
-        grad = np.empty(leaf.value.size)
-        end = grad.size
-        for i in range(len(acts) - 1, -1, -1):
-            w, a = net.weights[i], acts[i]
-            n_out = w.shape[0]
-            grad[end - n_out:end] = g.sum(axis=0)
-            end -= n_out
-            grad[end - w.size:end] = (g.T @ a).ravel()
-            end -= w.size
-            if i:
-                g = (g @ w) * (1.0 - a * a)
-            elif isinstance(x, _tape.Var):
-                x._accum(g @ w)
+        grad, g = _mlp_backward(net, acts, g)
+        if isinstance(x, _tape.Var):
+            x._accum(g @ net.weights[0])
         leaf._accum(grad)
 
     parents = (x, leaf) if isinstance(x, _tape.Var) else (leaf,)
     return _tape.Var(out, parents, back)
-
-
-def mlp_forward_components(net, cs):
-    """Componentwise forward pass over ring elements (jets, arrays)."""
-    vec = list(cs)
-    if len(vec) != net.layer_sizes[0]:
-        raise ValueError(f"input size {len(vec)} != {net.layer_sizes[0]}")
-    last = len(net.weights) - 1
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-        out = []
-        for i in range(w.shape[0]):
-            acc = float(b[i])
-            for j, cj in enumerate(vec):
-                wij = float(w[i, j])
-                if wij != 0.0:
-                    acc = acc + wij * cj
-            out.append(acc)
-        vec = [tanh(o) for o in out] if li < last else out
-    return tuple(vec)
 
 
 @dataclass
@@ -255,18 +259,17 @@ class ModifiedFieldModel:
             raise ValueError("a learned modified field needs a step h")
         return self.eval(y, h)
 
-    def components(self, cs, h=None):
-        if h is None:
-            raise ValueError("a learned modified field needs a step h")
-        h = float(h)
-        out = self.base.components(cs)
+    def jacobian(self, y, h):
+        """``d f_app / d y`` shaped ``(..., d, d)`` at states ``y`` and one
+        step ``h``: the base field's through jets, each net's in closed
+        form."""
+        y, h = np.asarray(y, dtype=float), float(h)
+        jac = jets.jacobian(self.base, y)
         for j, net in enumerate(self.term_nets, start=1):
-            tc = mlp_forward_components(net, cs)
-            w = h ** (self.p + j - 1)
-            out = tuple(o + w * t for o, t in zip(out, tc))
-        rc = mlp_forward_components(self.remainder_net, tuple(cs) + (h,))
-        w = h ** (self.n_terms + self.p - 1)
-        return tuple(o + w * r for o, r in zip(out, rc))
+            jac = jac + h ** (self.p + j - 1) * _mlp_jacobian(net, y)
+        yh = np.concatenate([y, np.full(y.shape[:-1] + (1,), h)], axis=-1)
+        rem = _mlp_jacobian(self.remainder_net, yh)[..., :self.dim]
+        return jac + h ** (self.n_terms + self.p - 1) * rem
 
     def parameters(self):
         """Per-layer views into ``theta``, in its order: term nets, then the
@@ -353,27 +356,18 @@ def step_loss(model, scheme, batch):
     return float(np.mean(w * np.sum((pred - batch.y1) ** 2, axis=-1)))
 
 
-def _tape_loss_and_grad(nets, residual, w):
-    """Weighted mean square of ``residual(taped_nets)`` and its gradient.
-
-    ``residual`` runs on tape copies of ``nets`` (:func:`_on_tape`) and
-    returns a ``(B, d)`` Var; record ``i`` has weight ``w[i]``.  Returns
-    ``(loss, grad)`` with ``grad`` one vector laid out like the nets'
-    vectors in order.  Raises :class:`TrainingDivergedError` naming the
-    first offending record when the loss is not finite.
-    """
-    taped = _on_tape(nets)
-    resid = residual(taped)
-    loss = _tape.weighted_sumsq(resid, w) * (1.0 / len(w))
-    if not np.isfinite(loss.value):
-        per_record = w * np.sum(resid.value**2, axis=-1)
-        bad = np.flatnonzero(~np.isfinite(per_record))
-        record = int(bad[0]) if bad.size else int(np.argmax(per_record))
-        raise TrainingDivergedError(
-            f"non-finite training loss at record {record}", record=record
-        )
-    _tape.backward(loss)
-    return float(loss.value), np.concatenate([n.vector.grad for n in taped])
+def _check_loss(loss, resid, w):
+    """Raise :class:`TrainingDivergedError` naming the first offending
+    record when ``loss``, the ``w``-weighted mean square of the rows of
+    ``resid``, is not finite."""
+    if np.isfinite(loss):
+        return
+    per_record = w * np.sum(resid**2, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(per_record))
+    record = int(bad[0]) if bad.size else int(np.argmax(per_record))
+    raise TrainingDivergedError(
+        f"non-finite training loss at record {record}", record=record
+    )
 
 
 def step_loss_and_grad(model, scheme, batch):
@@ -388,17 +382,21 @@ def step_loss_and_grad(model, scheme, batch):
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-
-    def residual(nets):
-        taped = copy.copy(model)
-        taped.term_nets, taped.remainder_net = nets[:-1], nets[-1]
-        return scheme_step(taped, scheme, batch.y0, batch.h) - batch.y1
-
-    return _tape_loss_and_grad(model.nets, residual,
-                               batch.h ** (-(2 * model.p + 2)))
+    nets = _on_tape(model.nets)
+    taped = copy.copy(model)
+    taped.term_nets, taped.remainder_net = nets[:-1], nets[-1]
+    resid = scheme_step(taped, scheme, batch.y0, batch.h) - batch.y1
+    w = batch.h ** (-(2 * model.p + 2))
+    loss = _tape.weighted_sumsq(resid, w) * (1.0 / len(w))
+    _check_loss(loss.value, resid.value, w)
+    _tape.backward(loss)
+    return float(loss.value), np.concatenate([n.vector.grad for n in nets])
 
 
 # -- Adam ---------------------------------------------------------------
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -407,9 +405,6 @@ class AdamState:
 
     lr: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
@@ -423,7 +418,7 @@ def adam_update(theta, grad, state):
         state.m = np.zeros_like(theta)
         state.v = np.zeros_like(theta)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     m, v = state.m, state.v
@@ -433,7 +428,7 @@ def adam_update(theta, grad, state):
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * grad * grad
-    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return theta, state
 
 

@@ -25,10 +25,11 @@ far cheaper than copying through pickling.
 The standard method trains all networks jointly through the integrator
 step.  The alternative method, for Euler only, first extracts per-term
 targets from flows at several step sizes by least squares, then regresses
-each network independently (parallelizable, one job per network).  Both
-run the same mini-batch Adam driver (``_descend``); a divergence names
-the epoch, the batch and the record's index into the set being trained,
-and on the per-term route the network.
+each network independently (parallelizable, one job per network) through
+the closed-form MLP backward, building no tape.  Both run the same
+mini-batch Adam driver (``_descend``); a divergence names the epoch, the
+batch and the record's index into the set being trained, and on the
+per-term route the network.
 """
 
 import copy
@@ -500,6 +501,8 @@ def load_dataset(path):
         if row.size != 2 * d + 1:
             raise ValueError(f"{path}: line {n} has {row.size} fields, "
                              f"expected {2 * d + 1}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}: line {n} has a non-finite field")
     data = np.array([row for _, row in rows]).reshape(-1, 2 * d + 1)
     return Dataset(data[:, :d], data[:, d], data[:, d + 1:],
                    system, scheme, float(tol_str), 0)
@@ -533,12 +536,15 @@ class LossReport:
             raise ValueError("per-epoch lists must have equal length")
 
 
-def _full_loss(model, scheme, ds, chunk=100_000):
+_LOSS_CHUNK = 100_000  # records per full-set loss evaluation
+
+
+def _full_loss(model, scheme, ds):
     if len(ds) == 0:
         return 0.0
     total = 0.0
-    for s in range(0, len(ds), chunk):
-        part = ds.subset(np.arange(s, min(s + chunk, len(ds))))
+    for s in range(0, len(ds), _LOSS_CHUNK):
+        part = ds.subset(np.arange(s, min(s + _LOSS_CHUNK, len(ds))))
         total += neural.step_loss(model, scheme, part) * len(part)
     return total / len(ds)
 
@@ -671,11 +677,16 @@ def alt_extract_targets(field_, y0, steps, n_terms, p, tol=1e-12,
 
 def _regress_loss_and_grad(net, x, t):
     """Batch mean of ``|net(x) - t|^2`` and its gradient, one vector
-    aligned with ``net.vector``.  A non-finite loss raises
-    :class:`TrainingDivergedError` naming the first offending row."""
-    return neural._tape_loss_and_grad(
-        [net], lambda nets: neural.mlp_forward(nets[0], x) - t,
-        np.ones(len(x)))
+    aligned with ``net.vector``, through the closed-form MLP backward.
+    A non-finite loss raises :class:`TrainingDivergedError` naming the
+    first offending row."""
+    acts = []
+    resid = neural._layers(net, x, acts) - t
+    scale = 1.0 / len(x)
+    loss = np.sum(np.sum(resid**2, axis=-1)) * scale
+    neural._check_loss(loss, resid, 1.0)
+    return float(loss), neural._mlp_backward(net, acts,
+                                             (2.0 * scale) * resid)[0]
 
 
 def _regress_job(args):
@@ -728,7 +739,7 @@ def alt_train(nets, term_data, remainder_data, cfg, workers=1):
     return nets, histories
 
 
-def build_alt_training_data(cfg, workers=1):
+def build_alt_training_data(cfg):
     """Sample base states, extract per-term and remainder targets.
 
     Uses ``cfg.n_records`` base states (per-record seeds ``[seed, i]`` as

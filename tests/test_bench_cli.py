@@ -200,6 +200,20 @@ def test_convergence(tmp_path, trained):
     assert errs[1, 1] < errs[0, 1]
 
 
+@pytest.mark.parametrize("system, scheme, p, h0", [
+    ("pendulum", "midpoint", 2, 0.25), ("rigid_body", "euler", 1, 0.5)])
+def test_orbit_defaults_follow_the_model(tmp_path, system, scheme, p, h0):
+    # no --config or --preset: the default config is pendulum/Euler, whose
+    # steps (0.1, 0.05, ...) must not be used for another model
+    path = tmp_path / "model.json"
+    save_model(init_model(get_system(system), scheme, p, 2, (6,), 0), path)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--model", str(path), "--out", str(out),
+                 "--T", "1.0"]) == 0
+    _, _, rows = read_csv(out / "convergence.csv")
+    assert [float(r[0]) for r in rows] == [h0 * 2.0**-j for j in range(4)]
+
+
 def test_efficiency(tmp_path, trained):
     cfg, model = trained
     out = tmp_path / "eff"

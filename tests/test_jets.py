@@ -66,16 +66,6 @@ def test_sin_chain_rule():
     assert j.coeffs[2] == pytest.approx(expect2, abs=1e-15)
 
 
-def test_tanh_taylor_coefficients():
-    x = 0.3
-    t0 = math.tanh(x)
-    j = Jet([x, 1.0, 0.0, 0.0]).tanh()
-    d1 = 1 - t0 * t0
-    d2 = -2 * t0 * d1
-    d3 = -2 * d1 * d1 - 2 * t0 * d2
-    assert np.allclose(j.coeffs, [t0, d1, d2 / 2, d3 / 6], atol=1e-14)
-
-
 def test_array_valued_jets():
     x = np.array([0.1, 0.5, 2.0])
     j = Jet([x, np.ones_like(x)]).sin()

@@ -11,7 +11,8 @@ from modfield.errors import (
     TrainingDivergedError,
 )
 from modfield._tape import Var, backward, weighted_sumsq
-from modfield.integrators import get_tableau, rk_step
+from modfield.integrators import (box_grid, estimate_lipschitz, get_tableau,
+                                  rk_step)
 from modfield.neural import (
     AdamState,
     MIDPOINT_UNROLL,
@@ -26,7 +27,7 @@ from modfield.neural import (
     step_loss,
     step_loss_and_grad,
 )
-from modfield.systems import get_system
+from modfield.systems import DomainBox, get_system
 from modfield.training import Dataset
 
 
@@ -136,6 +137,28 @@ def test_parameters_are_views_of_theta(pendulum):
                           model.theta)
     model.theta[:] = 0.0
     assert all(np.count_nonzero(q) == 0 for q in params)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.7])
+@pytest.mark.parametrize("n_terms", [1, 3])
+def test_learned_field_jacobian_matches_central_differences(pendulum, n_terms,
+                                                            h):
+    model = tiny_model(pendulum, n_terms=n_terms, seed=41)
+    # nonzero biases too: Glorot initialisation leaves them at zero
+    model.theta += np.random.default_rng(41).normal(0.0, 0.3,
+                                                    model.theta.size)
+    box = DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    y = box_grid(box, 5)
+    jac = model.jacobian(y, h)
+    assert jac.shape == (25, 2, 2)
+    eps = 1e-6
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = eps
+        fd = (model.eval(y + e, h) - model.eval(y - e, h)) / (2 * eps)
+        assert np.allclose(jac[:, :, j], fd, rtol=1e-7, atol=1e-8)
+    assert estimate_lipschitz(model, box, 5, h=h) == \
+        np.max(np.sum(np.abs(jac), axis=-1))
 
 
 def test_scheme_step_euler_formula(pendulum, rng):

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from modfield import neural
+from modfield import _tape, neural
 from modfield.errors import (ConditioningError, DomainSamplingError,
                              TrainingDivergedError)
 from modfield.integrators import adaptive_flow_batch, box_grid, get_tableau
@@ -358,6 +358,18 @@ def test_load_dataset_rejects_short_rows(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_dataset_rejects_non_finite_fields(tmp_path, bad):
+    rows = [f"{i}.1,{i}.2,0.{i + 1},{i}.4,{i}.5" for i in range(40)]
+    rows[7] = rows[7].rsplit(",", 1)[0] + "," + bad
+    path = tmp_path / "bad.csv"
+    path.write_text("# d,system,scheme,tol\n# 2,pendulum,euler,1e-12\n"
+                    "y0_1,y0_2,h,y1_1,y1_2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 11 has a "
+                                         "non-finite field"):
+        load_dataset(path)
+
+
 def test_split_dataset():
     cfg = TrainConfig(n_records=100, seed=1)
     ds = generate_dataset(cfg)
@@ -541,7 +553,7 @@ def test_build_alt_training_data_shapes(pendulum):
     assert np.allclose(steps, np.geomspace(cfg.h_min, cfg.h_max, 4))
     # remainder inputs carry the step in the last column
     assert set(np.unique(XR[:, 2])) == set(steps)
-    X2, C2, XR2, R2, _ = build_alt_training_data(cfg, workers=2)
+    X2, C2, XR2, R2, _ = build_alt_training_data(cfg)  # a pure function
     assert np.array_equal(X, X2) and np.array_equal(C, C2)
     assert np.array_equal(XR, XR2) and np.array_equal(R, R2)
 
@@ -620,6 +632,24 @@ def test_regression_gradient_matches_finite_differences(sizes):
         net.vector[i] = keep
         assert grad[i] == pytest.approx((up - dn) / (2 * eps),
                                         rel=1e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize("sizes", [[2, 8, 8, 2], [3, 8, 8, 2]])
+def test_regression_gradient_is_the_tape_gradient_bit_for_bit(sizes):
+    """The closed-form route against the same loss built on the tape, for
+    a term net and a remainder net."""
+    rng = np.random.default_rng(37)
+    net = mlp_init(sizes, [37, len(sizes)])
+    net.vector += rng.normal(0.0, 0.3, net.vector.size)
+    x = rng.uniform(-1.5, 1.5, size=(24, sizes[0]))
+    t = rng.standard_normal((24, sizes[-1]))
+    (taped,) = neural._on_tape([net])
+    resid = mlp_forward(taped, x) - t
+    loss = _tape.weighted_sumsq(resid, np.ones(len(x))) * (1.0 / len(x))
+    _tape.backward(loss)
+    value, grad = _regress_loss_and_grad(net, x, t)
+    assert value == float(loss.value)
+    assert np.array_equal(grad, taped.vector.grad)
 
 
 def test_alt_train_wants_one_net_per_target(pendulum):
