@@ -1,8 +1,8 @@
 """Scalar math that dispatches on the operand type.
 
 Vector fields are written against these helpers so the same component
-code evaluates on floats, numpy arrays, Taylor jets and tape variables.
-Any object exposing a ``sin``/``cos`` method is routed to that method;
+code evaluates on floats, numpy arrays and Taylor jets.  Any object
+exposing a ``sin``/``cos`` method (a jet) is routed to that method;
 everything else goes through numpy.
 """
 

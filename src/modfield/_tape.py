@@ -2,16 +2,16 @@
 
 Just enough operator coverage to backpropagate a scalar loss through the
 same stepping code that runs on arrays: the explicit Runge-Kutta stage
-loop (or the fixed unroll of the implicit-midpoint fixed point) and the
-benchmark vector fields (sin/cos/products of state columns).  The tanh
-MLPs are not built from these operators: ``neural.mlp_forward`` records
-a whole pass as one node whose backward is the closed-form MLP
-vector-Jacobian product, and each net's parameter vector is one leaf.
-Variables hold dense float arrays; constants stay plain ndarrays and are
-never tracked, on either side of an operator (``ndarray * Var`` reaches
-``Var.__rmul__``), and ``concat_cols`` gives a plain array when its
-input is one, so one forward pass serves both.  Gradients accumulate in
-reverse topological order.
+loop (or the fixed unroll of the implicit-midpoint fixed point), whose
+stages are sums and products of states, steps and field values.  The
+learned field is not built from these operators: on a tape copy of a
+model, whose parameter vector is one leaf, ``ModifiedFieldModel.eval``
+records each evaluation as one node whose backward is the field's
+closed-form vector-Jacobian product.  Variables hold dense float arrays;
+constants stay plain ndarrays and are never tracked, on either side of an
+operator (``ndarray * Var`` reaches ``Var.__rmul__``).  Variables are
+added to variables and constants, and multiplied and subtracted by
+constants only.  Gradients accumulate in reverse topological order.
 """
 
 import numpy as np
@@ -41,10 +41,6 @@ class Var:
         self.parents = parents
         self.backward = backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def _accum(self, g):
         self.grad = g if self.grad is None else self.grad + g
 
@@ -64,20 +60,10 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def back(g, a=self):
-            a._accum(-g)
-        return Var(-self.value, (self,), back)
-
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Var) else -np.asarray(other))
+        return self + -np.asarray(other, dtype=float)
 
     def __mul__(self, other):
-        if isinstance(other, Var):
-            def back(g, a=self, b=other):
-                a._accum(_unbroadcast(g * b.value, a.value.shape))
-                b._accum(_unbroadcast(g * a.value, b.value.shape))
-            return Var(self.value * other.value, (self, other), back)
         c = np.asarray(other, dtype=float)
 
         def back(g, a=self):
@@ -85,56 +71,6 @@ class Var:
         return Var(self.value * c, (self,), back)
 
     __rmul__ = __mul__
-
-    # -- elementwise functions (dispatched via _mathops) ---------------
-
-    def sin(self):
-        cos_x = np.cos(self.value)
-
-        def back(g, a=self):
-            a._accum(g * cos_x)
-        return Var(np.sin(self.value), (self,), back)
-
-    def cos(self):
-        sin_x = np.sin(self.value)
-
-        def back(g, a=self):
-            a._accum(-g * sin_x)
-        return Var(np.cos(self.value), (self,), back)
-
-    # -- structure ops -------------------------------------------------
-
-    def col(self, i):
-        """Column ``[..., i]`` as a Var."""
-        def back(g, a=self, i=i):
-            full = np.zeros_like(a.value)
-            full[..., i] = g
-            a._accum(full)
-        return Var(self.value[..., i], (self,), back)
-
-
-def stack_cols(cols):
-    """Stack Vars of shape ``(B,)`` into ``(B, d)``."""
-    cols = list(cols)
-
-    def back(g, cols=cols):
-        for i, c in enumerate(cols):
-            c._accum(g[..., i])
-    return Var(np.stack([c.value for c in cols], axis=-1), tuple(cols), back)
-
-
-def concat_cols(a, b):
-    """Concatenate ``(B, m)`` and a constant ``(B, n)`` along the last axis.
-
-    A plain array when ``a`` is one.
-    """
-    if not isinstance(a, Var):
-        return np.concatenate([a, b], axis=-1)
-    m = a.value.shape[-1]
-
-    def back(g, a=a, m=m):
-        a._accum(g[..., :m])
-    return Var(np.concatenate([a.value, b], axis=-1), (a,), back)
 
 
 def weighted_sumsq(x, weights):

@@ -143,15 +143,19 @@ def _ints(text):
 
 
 def _check_steps(args):
-    """Every ``--h``, ``--h-list`` entry and ``--T`` given must be finite
-    and > 0; otherwise a usage error naming the flag."""
+    """Every ``--h``, ``--h-list`` and ``--tol-list`` entry and ``--T``
+    given must be finite and > 0, and ``--grid-n`` at least 2; otherwise a
+    usage error naming the flag, raised before the command does any work."""
     given = [("--T", getattr(args, "T", None)),
              ("--h", getattr(args, "h", None))]
-    given += [("--h-list", h)
-              for h in _floats(getattr(args, "h_list", None) or "")]
+    for flag, attr in (("--h-list", "h_list"), ("--tol-list", "tol_list")):
+        given += [(flag, v) for v in _floats(getattr(args, attr, None) or "")]
     for flag, value in given:
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
+    grid_n = getattr(args, "grid_n", None)
+    if grid_n is not None and grid_n < 2:
+        raise ValueError(f"--grid-n must be >= 2, got {grid_n}")
 
 
 def _orbit(args, cfg, model):

@@ -135,11 +135,22 @@ def directional_derivative(g, y, v, h=None):
 
 def jacobian(g, y, h=None):
     """Jacobian ``dg(y)`` shaped ``(..., d, d)``, column ``j`` the
-    directional derivative along coordinate ``j``."""
+    directional derivative along coordinate ``j``.
+
+    One jet pass: the ``d`` directions lie along a last axis of the
+    order-1 coefficients (and of a per-row ``h``), and each element sees
+    the arithmetic of its own directional derivative.
+    """
     y = np.asarray(y, dtype=float)
-    return np.stack([directional_derivative(g, y, np.broadcast_to(e, y.shape),
-                                            h) for e in np.eye(y.shape[-1])],
-                    axis=-1)
+    if np.ndim(h):
+        h = np.asarray(h, dtype=float)[..., None]
+    eye = np.eye(y.shape[-1])
+    rows = dd_components(g, tuple(c[..., None] for c in split(y)),
+                         tuple(eye), h)
+    out = np.empty(y.shape[:-1] + (len(rows), y.shape[-1]))
+    for i, r in enumerate(rows):
+        out[..., i, :] = r
+    return out
 
 
 def split(y):

@@ -10,17 +10,17 @@ step as an extra input.  At h = 0 the learned field reduces to the base
 field, so any consistent scheme driven by it stays consistent.  Training
 minimizes the h-weighted one-step mean squared error.  Its step is the
 inference step: :func:`scheme_step` runs on a copy of the model whose
-nets each have one tape leaf, their parameter vector (``_tape``), so
-the same forward pass and the same Runge-Kutta stage loop build the
-graph that gradients flow back through.  An MLP has one forward pass,
-``_layers`` on arrays, and one backward, the closed-form tanh-MLP
-vector-Jacobian product ``_mlp_backward``: each pass on the tape is one
-node with that backward, and the per-term regression calls it with no
-tape.  The input Jacobian runs the same ``(1 - a^2)`` recurrence, so
-the learned field's Jacobian is closed-form too.  Each model keeps all
-its parameters in one vector ``theta``; the per-layer weights and
-biases are views into it, and gradients and Adam work on the whole
-vector.
+``theta`` is one tape leaf (``_tape``), so the same Runge-Kutta stage
+loop builds the graph that gradients flow back through.  Each evaluation
+of the learned field is one node on that tape, whose backward is the
+closed-form vector-Jacobian product of ``f_app``: the base field's
+through its jet Jacobian, each net's through the tanh-MLP product
+``_mlp_backward``, which the per-term regression calls with no tape.  An
+MLP has one forward pass, ``_layers`` on arrays.  The input Jacobian
+runs the same ``(1 - a^2)`` recurrence, so the learned field's Jacobian
+is closed-form too.  Each model keeps all its parameters in one vector
+``theta``; the per-layer weights and biases are views into it, and
+gradients and Adam work on the whole vector.
 
 All arithmetic is float64: the loss weights h^{-(2p+2)} span many orders
 of magnitude over a step range like [0.1, 2.5].
@@ -157,31 +157,23 @@ def _mlp_jacobian(net, x):
 
 
 def mlp_forward(net, x):
-    """Evaluate the network on ``x`` with shape ``(..., input)``.
-
-    On a tape copy of the net (:func:`_on_tape`) the whole pass is one
-    tape node over the net's parameter leaf and returns a ``_tape.Var``;
-    ``x`` may then be a ``(B, input)`` Var or array.
-    """
-    xv = x.value if isinstance(x, _tape.Var) else np.asarray(x, dtype=float)
-    if xv.shape[-1] != net.layer_sizes[0]:
+    """Evaluate the network on ``x`` with shape ``(..., input)``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != net.layer_sizes[0]:
         raise ValueError(
-            f"input size {xv.shape[-1]} != expected {net.layer_sizes[0]}"
+            f"input size {x.shape[-1]} != expected {net.layer_sizes[0]}"
         )
-    leaf = net.vector
-    if not isinstance(leaf, _tape.Var):
-        return _layers(net, xv)
-    acts = []
-    out = _layers(net, xv, acts)
+    return _layers(net, x)
 
-    def back(g):
-        grad, g = _mlp_backward(net, acts, g)
-        if isinstance(x, _tape.Var):
-            x._accum(g @ net.weights[0])
-        leaf._accum(grad)
 
-    parents = (x, leaf) if isinstance(x, _tape.Var) else (leaf,)
-    return _tape.Var(out, parents, back)
+def _check_step(h):
+    """``h`` as a float array; refused when missing or negative."""
+    if h is None:
+        raise ValueError("a learned modified field needs a step h")
+    h = np.asarray(h, dtype=float)
+    if (h < 0).any():
+        raise ValueError("step h must be >= 0")
+    return h
 
 
 @dataclass
@@ -236,34 +228,55 @@ class ModifiedFieldModel:
     def eval(self, y, h):
         """``f_app(y, h)``; ``h`` scalar or one step per leading row.
 
-        ``y`` may be a ``_tape.Var``; on a tape copy of the model
-        (:func:`_on_tape`) the result is recorded on the tape.
+        On a tape copy of the model, whose ``theta`` is one ``_tape.Var``
+        leaf (:func:`step_loss_and_grad`), the evaluation is one tape node
+        over the state ``y`` (an array or a ``_tape.Var``) and that leaf.
         """
-        on_tape = isinstance(y, _tape.Var)
-        if not on_tape:
-            y = np.asarray(y, dtype=float)
-        h = np.asarray(h, dtype=float)
-        if (h < 0).any():
-            raise ValueError("step h must be >= 0")
-        out = _tape_field(self.base, y) if on_tape else self.base(y)
+        taped = isinstance(self.theta, _tape.Var)
+        y_taped = isinstance(y, _tape.Var)
+        yv = y.value if y_taped else np.asarray(y, dtype=float)
+        h = _check_step(h)
         hcol = h[..., None]
-        if hcol.shape[:-1] != y.shape[:-1]:
-            hcol = np.broadcast_to(hcol, y.shape[:-1] + (1,))
-        for j, net in enumerate(self.term_nets, start=1):
-            out = out + hcol ** (self.p + j - 1) * mlp_forward(net, y)
-        rem = mlp_forward(self.remainder_net, _tape.concat_cols(y, hcol))
-        return out + hcol ** (self.n_terms + self.p - 1) * rem
+        if hcol.shape[:-1] != yv.shape[:-1]:
+            hcol = np.broadcast_to(hcol, yv.shape[:-1] + (1,))
+        xs = [yv] * len(self.term_nets) + [np.concatenate([yv, hcol], axis=-1)]
+        scales = [hcol ** (self.p + j) for j in range(self.n_terms)]
+        acts = [[] for _ in xs]
+        out = self.base(yv)
+        for net, x, c, keep in zip(self.nets, xs, scales, acts):
+            out = out + c * (_layers(net, x, keep) if taped
+                             else mlp_forward(net, x))
+        if not taped:
+            return out
+
+        def back(g):
+            # y's gradient sums the base field's part, then each net's in
+            # turn: the order the pinned training-gradient bits rest on
+            if y_taped:
+                gy = np.matmul(g[..., None, :],
+                               jets.jacobian(self.base, yv))[..., 0, :]
+            grads = []
+            for net, c, keep in zip(self.nets, scales, acts):
+                grad, gx = _mlp_backward(net, keep, g * c)
+                grads.append(grad)
+                if y_taped:
+                    # the remainder's h column is a constant
+                    gy = gy + (gx @ net.weights[0])[..., :self.dim]
+            self.theta._accum(np.concatenate(grads))
+            if y_taped:
+                y._accum(gy)
+
+        return _tape.Var(out, (y, self.theta) if y_taped else (self.theta,),
+                         back)
 
     def __call__(self, y, h=None):
-        if h is None:
-            raise ValueError("a learned modified field needs a step h")
         return self.eval(y, h)
 
     def jacobian(self, y, h):
         """``d f_app / d y`` shaped ``(..., d, d)`` at states ``y`` and one
         step ``h``: the base field's through jets, each net's in closed
         form."""
-        y, h = np.asarray(y, dtype=float), float(h)
+        y, h = np.asarray(y, dtype=float), float(_check_step(h))
         jac = jets.jacobian(self.base, y)
         for j, net in enumerate(self.term_nets, start=1):
             jac = jac + h ** (self.p + j - 1) * _mlp_jacobian(net, y)
@@ -321,29 +334,6 @@ def scheme_step(model, scheme, y0, h):
     return rk_stage_loop(tab, model.eval, y0, h)
 
 
-# -- the tape ------------------------------------------------------------
-
-
-def _tape_field(base, y):
-    """The base field at a tape variable ``y`` (B, d), through its
-    componentwise form; constant components are lifted onto the tape."""
-    cs = tuple(y.col(i) for i in range(base.dim))
-    comps = base.components(cs)
-    comps = [c if isinstance(c, _tape.Var) else cs[0] * 0.0 + c for c in comps]
-    return _tape.stack_cols(comps)
-
-
-def _on_tape(nets):
-    """Shallow copies of ``nets`` whose ``vector`` is one tape leaf over
-    the net's own parameter vector; weights and biases stay array views."""
-    copies = []
-    for net in nets:
-        net = copy.copy(net)
-        net.vector = _tape.Var(net.vector)
-        copies.append(net)
-    return copies
-
-
 # -- loss and gradients ------------------------------------------------
 
 
@@ -373,8 +363,8 @@ def _check_loss(loss, resid, w):
 def step_loss_and_grad(model, scheme, batch):
     """Loss and its gradient with respect to ``model.theta``.
 
-    Runs :func:`scheme_step` on a copy of the model whose parameters are
-    tape leaves and accumulates in reverse through the stage computations
+    Runs :func:`scheme_step` on a copy of the model whose ``theta`` is one
+    tape leaf and accumulates in reverse through the stage computations
     of the scheme (explicit Runge-Kutta, or the fixed midpoint unroll).
     Returns ``(loss, grad)`` with ``grad`` one vector aligned with
     ``model.theta``.  Raises :class:`TrainingDivergedError` naming the
@@ -382,15 +372,14 @@ def step_loss_and_grad(model, scheme, batch):
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    nets = _on_tape(model.nets)
     taped = copy.copy(model)
-    taped.term_nets, taped.remainder_net = nets[:-1], nets[-1]
+    taped.theta = _tape.Var(model.theta)
     resid = scheme_step(taped, scheme, batch.y0, batch.h) - batch.y1
     w = batch.h ** (-(2 * model.p + 2))
     loss = _tape.weighted_sumsq(resid, w) * (1.0 / len(w))
     _check_loss(loss.value, resid.value, w)
     _tape.backward(loss)
-    return float(loss.value), np.concatenate([n.vector.grad for n in nets])
+    return float(loss.value), taped.theta.grad
 
 
 # -- Adam ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 States are 1-D float arrays of length ``dim``; every evaluation also accepts
 batches shaped ``(n, dim)`` (more generally ``(..., dim)``).  Vector fields
 are written component-wise against :mod:`modfield._mathops`, so the same
-definition evaluates on floats, arrays, Taylor jets and autodiff variables.
+definition evaluates on floats, arrays and Taylor jets.
 """
 
 from dataclasses import dataclass, field as _dcfield

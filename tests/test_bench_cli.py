@@ -490,7 +490,37 @@ def test_zero_tolerance_is_a_usage_error(tmp_path, cfg_file, capsys):
                "--h-list", "0.25", "--tol-list", "0", "--k-list", "2",
                "--repeats", "3"])
     assert rc == 2
-    assert "atol" in capsys.readouterr().err
+    assert "--tol-list must be finite and > 0" in capsys.readouterr().err
+
+
+# a bad tolerance or grid size is refused before any model is trained or
+# any trajectory is stepped, and the message names the flag
+@pytest.mark.parametrize("command, flag, value", [
+    ("efficiency", "--tol-list", "1e-6,-1"),
+    ("efficiency", "--tol-list", "nan"),
+    ("efficiency", "--tol-list", "1e-6,inf"),
+    ("param-study", "--grid-n", "1"),
+    ("field-error-map", "--grid-n", "0"),
+])
+def test_bad_tolerance_or_grid_fails_before_any_work(
+        tmp_path, cfg_file, untrained, capsys, monkeypatch, command, flag,
+        value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("training.generate_dataset", "bench_cli.integrate",
+                 "bench_cli.box_grid"):
+        monkeypatch.setattr(f"modfield.{name}", no_work)
+    extra = {"efficiency": ["--model", untrained, "--h-list", "0.25"],
+             "param-study": ["--widths", "4", "--data-sizes", "30"],
+             "field-error-map": ["--model", untrained]}[command]
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg_file, "--out", str(out), *extra,
+               f"{flag}={value}"])
+    assert rc == 2
+    assert (f"{flag} must be >= 2" if flag == "--grid-n"
+            else f"{flag} must be finite and > 0") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_training_divergence_is_a_numerical_failure(tmp_path, capsys):

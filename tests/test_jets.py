@@ -7,8 +7,10 @@ from modfield.jets import (
     Jet,
     dd_components,
     directional_derivative,
+    jacobian,
     stack,
 )
+from modfield.modified_field import truncated_field
 from modfield.systems import get_system
 
 
@@ -91,6 +93,20 @@ def test_directional_derivative_matches_fd(rng):
         fd = (field(y + eps * v) - field(y - eps * v)) / (2 * eps)
         denom = 1.0 + np.abs(fd)
         assert np.max(np.abs(dd - fd) / denom) < 1e-7
+
+
+@pytest.mark.parametrize("name", ["pendulum", "rigid_body"])
+@pytest.mark.parametrize("shape", [(), (9,)])
+def test_jacobian_in_one_pass_is_the_directional_columns(rng, name, shape):
+    base = get_system(name)
+    y = rng.uniform(-1.5, 1.5, size=shape + (base.dim,))
+    # a scalar step, and one step per row
+    for g, h in ((base, None), (truncated_field(base, "rk2", 3), 0.3),
+                 (truncated_field(base, "euler", 3),
+                  rng.uniform(0.1, 0.5, size=shape))):
+        cols = [directional_derivative(g, y, np.broadcast_to(e, y.shape), h)
+                for e in np.eye(base.dim)]
+        assert np.array_equal(jacobian(g, y, h), np.stack(cols, axis=-1))
 
 
 def test_directional_derivative_shape_mismatch(pendulum):

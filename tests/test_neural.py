@@ -16,7 +16,6 @@ from modfield.integrators import (box_grid, estimate_lipschitz, get_tableau,
 from modfield.neural import (
     AdamState,
     MIDPOINT_UNROLL,
-    _on_tape,
     adam_update,
     init_model,
     load_model,
@@ -95,6 +94,12 @@ def test_model_call_requires_step(pendulum):
         model(np.zeros(2))
     with pytest.raises(ValueError):
         model.eval(np.zeros(2), -0.1)
+    # the Jacobian checks its step as the evaluation does
+    box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="needs a step h"):
+        estimate_lipschitz(model, box, 3)
+    with pytest.raises(ValueError, match="step h must be >= 0"):
+        model.jacobian(np.zeros(2), -0.1)
 
 
 def test_model_step_weighting(pendulum, rng):
@@ -276,32 +281,40 @@ def _tape_nodes(root):
     ("euler", 1, 1), ("rk2", 2, 2), ("midpoint", 2, MIDPOINT_UNROLL)])
 def test_tape_has_one_leaf_per_net_and_one_node_per_pass(pendulum, scheme,
                                                          p, passes):
+    # all nets share one leaf, theta; each field evaluation is one node
     model = init_model(pendulum, scheme, p, 3, (8, 8), seed=11)
     batch = _synthetic_batch(pendulum, model, 16, seed=13)
-    nets = _on_tape(model.nets)
-    assert len(nets) == len(model.nets)
-    for net, taped in zip(model.nets, nets):
-        assert isinstance(taped.vector, Var) and taped.vector.parents == ()
-        assert np.shares_memory(taped.vector.value, net.vector)
-    taped_model = copy.copy(model)
-    taped_model.term_nets, taped_model.remainder_net = nets[:-1], nets[-1]
+    taped = copy.copy(model)
+    taped.theta = Var(model.theta)
     y0, h, y1 = batch.y0, batch.h, batch.y1
-    resid = scheme_step(taped_model, scheme, y0, h) - y1
+    resid = scheme_step(taped, scheme, y0, h) - y1
     loss = weighted_sumsq(resid, h ** (-(2 * p + 2))) * (1.0 / len(batch))
     graph = _tape_nodes(loss)
-    leaves = {id(net.vector) for net in nets}
-    # every parameter reaches the tape through its net's one leaf
-    assert {id(n) for n in graph if not n.parents} == leaves
-    for taped in nets:
-        users = [n for n in graph if any(q is taped.vector for q in n.parents)]
-        assert len(users) == passes
+    assert [n for n in graph if not n.parents] == [taped.theta]
+    users = [n for n in graph if any(q is taped.theta for q in n.parents)]
+    assert len(users) == passes
     backward(loss)
     _, grad = step_loss_and_grad(model, scheme, batch)
-    k = 0
-    for net, taped in zip(model.nets, nets):
-        assert taped.vector.grad.shape == net.vector.shape
-        assert np.array_equal(taped.vector.grad, grad[k:k + net.vector.size])
-        k += net.vector.size
+    assert np.array_equal(taped.theta.grad, grad)
+
+
+@pytest.mark.parametrize("system", ["pendulum", "rigid_body"])
+@pytest.mark.parametrize("n_terms", [1, 3])
+def test_field_node_state_gradient_is_the_jacobian_product(system, n_terms):
+    base = get_system(system)
+    model = init_model(base, "euler", 1, n_terms, (8, 8), seed=29)
+    rng = np.random.default_rng(29)
+    model.theta += rng.normal(0.0, 0.3, model.theta.size)
+    y = Var(rng.uniform(-1.5, 1.5, size=(12, base.dim)))
+    g = rng.standard_normal((12, base.dim))
+    taped = copy.copy(model)
+    taped.theta = Var(model.theta)
+    node = taped.eval(y, 0.3)
+    assert node.parents == (y, taped.theta)
+    assert np.array_equal(node.value, model.eval(y.value, 0.3))
+    node.backward(g)
+    want = np.einsum("bi,bij->bj", g, model.jacobian(y.value, 0.3))
+    assert np.allclose(y.grad, want, rtol=0, atol=1e-13)
 
 
 def test_gradient_divergence_names_record(pendulum):

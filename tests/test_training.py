@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from modfield import _tape, neural
+from modfield import neural
 from modfield.errors import (ConditioningError, DomainSamplingError,
                              TrainingDivergedError)
 from modfield.integrators import adaptive_flow_batch, box_grid, get_tableau
@@ -632,24 +632,6 @@ def test_regression_gradient_matches_finite_differences(sizes):
         net.vector[i] = keep
         assert grad[i] == pytest.approx((up - dn) / (2 * eps),
                                         rel=1e-5, abs=1e-10)
-
-
-@pytest.mark.parametrize("sizes", [[2, 8, 8, 2], [3, 8, 8, 2]])
-def test_regression_gradient_is_the_tape_gradient_bit_for_bit(sizes):
-    """The closed-form route against the same loss built on the tape, for
-    a term net and a remainder net."""
-    rng = np.random.default_rng(37)
-    net = mlp_init(sizes, [37, len(sizes)])
-    net.vector += rng.normal(0.0, 0.3, net.vector.size)
-    x = rng.uniform(-1.5, 1.5, size=(24, sizes[0]))
-    t = rng.standard_normal((24, sizes[-1]))
-    (taped,) = neural._on_tape([net])
-    resid = mlp_forward(taped, x) - t
-    loss = _tape.weighted_sumsq(resid, np.ones(len(x))) * (1.0 / len(x))
-    _tape.backward(loss)
-    value, grad = _regress_loss_and_grad(net, x, t)
-    assert value == float(loss.value)
-    assert np.array_equal(grad, taped.vector.grad)
 
 
 def test_alt_train_wants_one_net_per_target(pendulum):
