@@ -5,8 +5,8 @@ A numerical method of order p applied to a perturbed field
     f_app(y, h) = f(y) + h^p (corrections)
 
 can follow the exact flow of ``f`` far more accurately than the method
-alone.  This package provides the analytic correction terms (Taylor-jet
-based, derived by order matching for any Runge-Kutta tableau),
+alone.  This package provides the analytic correction terms (from one
+B-series table per Runge-Kutta tableau, evaluated with first-order jets),
 neural-network approximations of the corrections trained through the
 integrator step, grid estimates of the theorem's global error bound, and
 a benchmark CLI.

@@ -1,17 +1,16 @@
-"""Truncated Taylor-jet arithmetic (forward-mode derivatives of curves).
+"""First-order jets: forward-mode directional derivatives.
 
-A :class:`Jet` stores the coefficients ``(u_0, ..., u_m)`` of a truncated
-Taylor expansion ``u(t) = sum_k u_k t^k + O(t^{m+1})`` of one scalar curve.
-Arithmetic truncates consistently at the smaller operand order.
+A :class:`Jet` holds the value ``u`` and the slope ``u'`` of a curve
+``u(t)`` at ``t = 0``, its first two Taylor coefficients ``(u, u')``.
 
-Coefficients live in any commutative ring with the required elementary
-functions: floats, numpy arrays (vectorised jets), or other jets.  The
-latter is what makes nested directional derivatives work: an inner
-derivative built while an outer one is in progress simply produces jets
-whose coefficients are jets.  A jet does not know its variable, and
-``Jet * Jet`` convolves any two jets: a jet of an enclosing level enters
-an inner one only as a coefficient.  The modified-field terms nest to
-depth four (``phi_5``) under jets in the step size ``h``.
+Both live in any commutative ring with the required elementary functions:
+floats, numpy arrays (vectorised jets), or other jets.  The latter is what
+makes nested directional derivatives work: an inner derivative built while
+an outer one is in progress simply produces jets whose coefficients are
+jets.  A jet does not know its variable, and ``Jet * Jet`` multiplies any
+two jets: a jet of an enclosing level enters an inner one only as a
+coefficient.  The modified-field terms nest to depth four (the field's
+fourth derivative) under the jets of an enclosing derivative.
 """
 
 import numpy as np
@@ -20,18 +19,17 @@ from . import _mathops as _m
 
 
 class Jet:
-    """Truncated Taylor coefficients of a scalar curve."""
+    """Value and slope ``(u, u')`` of a scalar curve."""
 
     __slots__ = ("coeffs",)
+    # numpy hands ``array * jet`` to ``Jet.__rmul__`` instead of building
+    # an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         self.coeffs = list(coeffs)
-        if not self.coeffs:
-            raise ValueError("a jet needs at least the order-0 coefficient")
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
+        if len(self.coeffs) != 2:
+            raise ValueError("a jet is a value and one slope")
 
     def coeff(self, k):
         return self.coeffs[k]
@@ -39,12 +37,11 @@ class Jet:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
+        u, du = self.coeffs
         if isinstance(other, Jet):
-            m = min(self.order, other.order)
-            return Jet([self.coeffs[k] + other.coeffs[k] for k in range(m + 1)])
-        c = list(self.coeffs)
-        c[0] = c[0] + other
-        return Jet(c)
+            v, dv = other.coeffs
+            return Jet([u + v, du + dv])
+        return Jet([u + other, du])
 
     __radd__ = __add__
 
@@ -58,43 +55,23 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        u, du = self.coeffs
         if isinstance(other, Jet):
-            m = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            return Jet(
-                [
-                    sum(a[i] * b[k - i] for i in range(1, k + 1)) + a[0] * b[k]
-                    for k in range(m + 1)
-                ]
-            )
-        return Jet([c * other for c in self.coeffs])
+            v, dv = other.coeffs
+            return Jet([u * v, du * v + u * dv])
+        return Jet([u * other, du * other])
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            raise TypeError("jet division is only supported by scalars")
-        return self * (1.0 / other)
-
-    # -- elementary functions (standard convolution recurrences) ---------
+    # -- elementary functions (chain rule) -------------------------------
 
     def sin(self):
-        return self._sincos()[0]
+        u, du = self.coeffs
+        return Jet([_m.sin(u), du * _m.cos(u)])
 
     def cos(self):
-        return self._sincos()[1]
-
-    def _sincos(self):
-        u = self.coeffs
-        m = self.order
-        s = [_m.sin(u[0])]
-        c = [_m.cos(u[0])]
-        for k in range(1, m + 1):
-            sk = sum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
-            ck = -sum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
-            s.append(sk)
-            c.append(ck)
-        return Jet(s), Jet(c)
+        u, du = self.coeffs
+        return Jet([_m.cos(u), -(du * _m.sin(u))])
 
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
@@ -113,13 +90,8 @@ def dd_components(g, comps, v_comps, h=None):
     """
     seeds = tuple(Jet([c, v]) for c, v in zip(comps, v_comps))
     out = g.components(seeds, h) if hasattr(g, "components") else g(seeds)
-    res = []
-    for o in out:
-        if isinstance(o, Jet):
-            res.append(o.coeff(1))
-        else:
-            res.append(0.0 * o)  # component did not depend on the input
-    return tuple(res)
+    # a component that is no jet did not depend on the input
+    return tuple(o.coeffs[1] if isinstance(o, Jet) else 0.0 * o for o in out)
 
 
 def directional_derivative(g, y, v, h=None):

@@ -5,14 +5,21 @@ A one-step method of order p applied to the modified field
     f_h(y) = f(y) + h^p (f^[1](y) + h f^[2](y) + ...)
 
 reproduces the exact flow of ``f`` to higher order the more correction
-terms are kept.  The terms come from one order-matching routine for every
-Runge-Kutta tableau, explicit or implicit (Hairer-Lubich-Wanner,
-*Geometric Numerical Integration*, ch. IX): ``f^[j]`` is the ``h^{p+j}``
-Taylor coefficient of the exact flow minus that of the scheme's step on
-the field truncated after ``f^[j-1]``.  The flow coefficients follow the
-Lie recursion ``phi_m = d phi_{m-1} . f / m``; the step is run with ``h``
-as a power series.  All derivatives are taken with nested Taylor jets.
+terms are kept.  For a Runge-Kutta tableau, explicit or implicit, ``f_h``
+is the B-series ``sum_tau h^{|tau|-1} b(tau)/sigma(tau) F(tau)`` over
+rooted trees, so ``f^[j]`` collects the trees with ``p + j`` vertices.
+The rational ``b(tau)`` follow from the tableau alone by the substitution
+law (Chartier-Hairer-Vilmart 2007, 2010; Hairer-Lubich-Wanner, *Geometric
+Numerical Integration*, ch. III, IX).  The elementary differentials
+``F(tau)`` are taken at the point with nested first-order jets.
 """
+
+from collections import Counter
+from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import factorial, prod
+from operator import mul
 
 import numpy as np
 
@@ -20,8 +27,8 @@ from . import jets
 from .errors import UnsupportedTruncationError
 from .integrators import get_tableau
 
-# Deepest flow Taylor order the terms may use: f^[k-1] needs phi_{p+k-1},
-# and each order nests one more jet, so the cost grows exponentially.
+# Most vertices of a tree the terms use: f^[k-1] needs the trees with
+# p + k - 1 vertices.  Up to 5 there are 17; deeper terms have no user yet.
 MAX_TAYLOR_ORDER = 5
 
 
@@ -30,87 +37,106 @@ def max_truncation(scheme):
     return MAX_TAYLOR_ORDER + 1 - get_tableau(scheme).order
 
 
-def _flow_coeff(field, cs, f, m):
-    """Taylor coefficient ``phi_m`` of the exact flow of ``field`` at
-    ``cs``, where the field's value is ``f = phi_1``."""
-    if m == 1:
-        return f
-    d = jets.dd_components(
-        lambda z: _flow_coeff(field, z, field.components(z), m - 1), cs, f)
-    return tuple((1.0 / m) * x for x in d)
+# A rooted tree is the sorted tuple of its subtrees; () is one vertex.
+
+def _order(t):
+    return 1 + sum(_order(c) for c in t)
 
 
-def _series(v, m):
-    """A field or term value at an ``h``-series point as a series of order
-    ``m``: it is one already, or a plain number or array where it does
-    not depend on the point."""
-    return v if isinstance(v, jets.Jet) else jets.Jet([v] + [0.0] * m)
+def _gamma(t):
+    return _order(t) * prod(_gamma(c) for c in t)
 
 
-def _at_point(f, terms, p, top):
-    """The field ``f + sum_n h^{p+n} f^[n+1]`` at ``cs`` itself, where its
-    values are known, as ``h``-series of order ``top``."""
-    return tuple(jets.Jet(([fc] + [0.0] * (p - 1) + [t[c] for t in terms]
-                           + [0.0] * top)[:top + 1])
-                 for c, fc in enumerate(f))
+def _sigma(t):
+    """Order of the tree's symmetry group."""
+    return prod(factorial(m) * _sigma(c) ** m for c, m in Counter(t).items())
 
 
-def _on_series(field, tab, ys, terms, top):
-    """The field ``f + sum_n h^{p+n} f^[n+1]`` at the ``h``-series point
-    ``ys``, to order ``top``; the terms are derived again on the series."""
-    ks = [_series(v, top) for v in field.components(ys)]
-    # f^[n+1] enters at h^{p+n}, so it is needed to order top - p - n only
-    lo = top - tab.order
-    n_used = min(len(terms), lo + 1)
-    if n_used > 0:
-        low = tuple(jets.Jet(y.coeffs[:lo + 1]) for y in ys)
-        for e, t in enumerate(_terms(field, tab, low, field.components(low),
-                                     n_used), start=tab.order):
-            # times h^e: a shift of the coefficients, not a jet product
-            ks = [k + jets.Jet([0.0] * e + _series(tc, lo).coeffs[:top + 1 - e])
-                  for k, tc in zip(ks, t)]
-    return tuple(ks)
+def _grown(t):
+    """The trees made by adding one leaf to one vertex of ``t``."""
+    yield tuple(sorted(t + ((),)))
+    for i, c in enumerate(t):
+        for g in _grown(c):
+            yield tuple(sorted(t[:i] + (g,) + t[i + 1:]))
 
 
-def _step_coeff(field, tab, cs, f, terms, m):
-    """The ``h^m`` coefficient of one step of ``tab`` from ``cs`` on the
-    field ``f + sum_n h^{p+n} f^[n+1]`` with the given ``terms``.
+TREES = [[()]]  # TREES[n - 1]: the rooted trees with n vertices
+while len(TREES) < MAX_TAYLOR_ORDER:
+    TREES.append(sorted({g for t in TREES[-1] for g in _grown(t)}))
 
-    The stages ``k_i`` are ``h``-series of order ``m - 1``; a stage that
-    no other stage feeds sits at ``cs``.  Explicit tableaus take one sweep
-    in stage order.  Implicit ones iterate from the stages at ``cs``: the
-    sweep to order ``o`` needs the previous sweep to order ``o - 1`` only,
-    so the orders run up to ``m - 1`` one per sweep.
-    """
-    ks = [None] * tab.stages
-    for top in [m - 1] if tab.is_explicit else range(m):
-        for i, row in enumerate(tab.a):
-            feed = [(a, k) for a, k in zip(row, ks)
-                    if a != 0.0 and k is not None]
-            if not feed:
-                ks[i] = _at_point(f, terms, tab.order, top)
-                continue
-            # y + h sum_j a_ij k_j: the point's values only ever lead the
-            # series, they never meet it in a jet product
-            ys = tuple(jets.Jet([y] + sum(a * k[c] for a, k in feed)
-                                .coeffs[:top])
-                       for c, y in enumerate(cs))
-            ks[i] = _on_series(field, tab, ys, terms, top)
-    # the step is y + h sum_i b_i k_i(h)
-    return tuple(sum(b * k[c].coeffs[m - 1] for b, k in zip(tab.b, ks)
-                     if b != 0.0)
-                 for c in range(len(cs)))
+
+def _cuts(t):
+    """Every way to cut edges of ``t``, as ``(root, skeleton, pieces)``:
+    the piece holding the root, the tree left when each piece shrinks to
+    a vertex, and the other pieces."""
+    options = [[o for root, skel, pieces in _cuts(c)
+                for o in (((root,), skel, pieces),  # the edge to c kept
+                          ((), (skel,), pieces + (root,)))]  # or cut
+               for c in t]
+    for choice in product(*options):
+        yield tuple(tuple(sorted(x for o in choice for x in o[k]))
+                    for k in range(3))
+
+
+@cache
+def _stage_weights(scheme, t):
+    """``Phi_i(t)`` of every stage ``i`` of the scheme's tableau."""
+    return [prod(sum(Fraction(x) * p
+                     for x, p in zip(row, _stage_weights(scheme, c)))
+                 for c in t) for row in get_tableau(scheme).a]
+
+
+@cache
+def _b_series(scheme):
+    """``b(tau)`` of the scheme's modified field on every tree, exact:
+    stepping with it must give the exact flow's ``1/gamma(tau)``."""
+    bw = [Fraction(x) for x in get_tableau(scheme).b]
+    b = {}
+    for t in [t for trees in TREES for t in trees]:
+        b[t] = Fraction(1, _gamma(t)) - sum(
+            sum(map(mul, bw, _stage_weights(scheme, skel))) * b[root]
+            * prod(b[p] for p in pieces)
+            for root, skel, pieces in _cuts(t) if pieces)
+    return b
+
+
+@cache
+def _table(scheme):
+    """One list of nonzero ``(b(tau)/sigma(tau), tau)`` pairs per term
+    ``f^[j]``, ``j = 1 .. max_truncation(scheme) - 1``, in floats."""
+    b, p = _b_series(scheme), get_tableau(scheme).order
+    return [[(float(b[t] / _sigma(t)), t) for t in TREES[p + j - 1] if b[t]]
+            for j in range(1, max_truncation(scheme))]
+
+
+def _derivative(field, cs, vs):
+    """``f^(m)[v_1, ..., v_m]`` at ``cs`` by nested directional derivatives;
+    a jet ``v_i`` becomes a zero-slope jet of each of the ``m - i`` levels
+    between ``cs`` and the points it meets."""
+    g = field.components
+    for i, v in enumerate(vs, start=1):
+        for _ in range(len(vs) - i):
+            v = tuple(jets.Jet([c, 0.0 * c]) if isinstance(c, jets.Jet)
+                      else c for c in v)
+        g = lambda z, g=g, v=v: jets.dd_components(g, z, v)
+    return g(cs)
 
 
 def _terms(field, tab, cs, f, n):
     """Correction terms ``f^[1..n]`` of ``tab``'s modified field at ``cs``,
     where the field's value is ``f``."""
+    F = {(): f}
+
+    def elementary(t):
+        if t not in F:
+            F[t] = _derivative(field, cs, [elementary(c) for c in t])
+        return F[t]
+
     terms = []
-    for j in range(1, n + 1):
-        m = tab.order + j
-        flow = _flow_coeff(field, cs, f, m)
-        step = _step_coeff(field, tab, cs, f, terms, m)
-        terms.append(tuple(a - b for a, b in zip(flow, step)))
+    for row in _table(tab.name)[:n]:
+        parts = ([[w * x for x in elementary(t)] for w, t in row]
+                 or [[0.0 * x for x in f]])
+        terms.append(tuple(sum(p[1:], p[0]) for p in zip(*parts)))
     return terms
 
 
@@ -128,8 +154,8 @@ class TruncatedModifiedField:
         if not 1 <= k <= k_max:
             raise UnsupportedTruncationError(
                 f"truncation k={k} unsupported for scheme {scheme!r} "
-                f"(its terms reach k={k_max}: Taylor order p+k-1 <= "
-                f"{MAX_TAYLOR_ORDER})"
+                f"(its terms reach k={k_max}: trees of p+k-1 <= "
+                f"{MAX_TAYLOR_ORDER} vertices)"
             )
         self.base = base
         self.tableau = tab
@@ -147,8 +173,9 @@ class TruncatedModifiedField:
         return out
 
     def __call__(self, y, h):
-        return jets.stack(self.components(jets.split(y),
-                                          np.asarray(h, dtype=float)))
+        if h is not None:
+            h = np.asarray(h, dtype=float)
+        return jets.stack(self.components(jets.split(y), h))
 
     def components(self, cs, h=None):
         if h is None:
@@ -164,4 +191,3 @@ class TruncatedModifiedField:
 def truncated_field(base, scheme, k):
     """Build the order-``k`` truncated modified field for a scheme."""
     return TruncatedModifiedField(base, scheme, k)
-

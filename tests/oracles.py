@@ -1,6 +1,6 @@
 """Numerical oracles for the modified-field terms.
 
-These solve against the exact flow instead of matching Taylor orders, so
+These solve against the exact flow instead of using B-series tables, so
 they are independent references for the closed-form terms of
 :mod:`modfield.modified_field`: a least-squares extraction of ``f^[1]``
 and a probe of the implicit-midpoint modified field.

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from modfield.errors import FixedPointError, UnsupportedTruncationError
 from modfield.integrators import get_stepper, integrate, order_estimate
 from modfield.jets import directional_derivative
-from modfield.modified_field import max_truncation, truncated_field
+from modfield.modified_field import (TREES, _b_series, _gamma, _order,
+                                     _sigma, max_truncation, truncated_field)
 from modfield.systems import get_system, reference_trajectory
 from oracles import (
     ConditioningWarning,
@@ -17,6 +20,9 @@ from oracles import (
 # frozen correction terms at the pendulum point (1, 0)
 EULER_AT_10 = {1: (-0.5, 0.0), 2: (0.0, -1.0 / 6.0), 3: (1.0 / 12.0, 0.0)}
 RK2_AT_10 = {1: (0.0, -1.0 / 6.0), 2: (-1.0 / 8.0, 0.0)}
+HEUN_AT_10 = {1: (0.0, -1.0 / 6.0), 2: (-1.0 / 8.0, 0.0), 3: (0.0, 0.1)}
+MIDPOINT_AT_10 = {1: (0.0, 1.0 / 12.0), 2: (0.0, 0.0),
+                  3: (0.0, 1.0 / 160.0)}
 
 
 def terms_at(base, scheme, y, n):
@@ -36,6 +42,47 @@ def test_rk2_terms_frozen_values(pendulum):
         assert np.allclose(got[j - 1], expect, atol=1e-14)
 
 
+@pytest.mark.parametrize("scheme, frozen", [("rk2_heun", HEUN_AT_10),
+                                            ("midpoint", MIDPOINT_AT_10)])
+def test_heun_and_midpoint_terms_frozen_values(pendulum, scheme, frozen):
+    got = terms_at(pendulum, scheme, np.array([1.0, 0.0]), len(frozen))
+    for j, expect in frozen.items():
+        assert np.allclose(got[j - 1], expect, atol=1e-14)
+
+
+def test_tree_counts():
+    assert [len(trees) for trees in TREES] == [1, 1, 2, 4, 9]
+    assert all(_order(t) == n for n, trees in enumerate(TREES, start=1)
+               for t in trees)
+
+
+def test_euler_table_is_the_exact_flow():
+    # Euler's step has no term beyond h f, so the modified field carries
+    # the whole flow: b = 1/gamma
+    b = _b_series("euler")
+    assert len(b) == 17
+    assert all(b[t] == Fraction(1, _gamma(t)) for t in b)
+
+
+def test_midpoint_table_vanishes_on_even_orders():
+    b = _b_series("midpoint")
+    assert all(b[t] == 0 for t in TREES[1] + TREES[3])
+    assert any(b[t] != 0 for t in TREES[2] + TREES[4])
+
+
+def test_order_three_tables_are_the_closed_forms():
+    bushy, tall = TREES[2]  # [.,.] gives f''(f,f), [[.]] gives f'f'f
+    assert (bushy, tall) == (((), ()), (((),),))
+
+    def coeffs(scheme):
+        b = _b_series(scheme)
+        return b[bushy] / _sigma(bushy), b[tall] / _sigma(tall)
+
+    assert coeffs("euler") == (Fraction(1, 6), Fraction(1, 6))
+    assert coeffs("midpoint") == (Fraction(1, 24), Fraction(-1, 12))
+    assert coeffs("rk2_heun") != coeffs("rk2_midpoint")
+
+
 def test_term_batching(pendulum, rng):
     y = rng.uniform(-2, 2, size=(12, 2))
     for scheme in ("euler", "rk2", "rk2_heun", "midpoint"):
@@ -45,8 +92,8 @@ def test_term_batching(pendulum, rng):
 
 
 def test_term_argument_guards(pendulum):
-    # one cap for every scheme: the last term needs Taylor order
-    # p + k - 1 <= 5 of the flow
+    # one cap for every scheme: the last term needs the trees of
+    # p + k - 1 <= 5 vertices
     caps = {"euler": 5, "rk2": 4, "rk2_heun": 4, "midpoint": 4, "dopri5": 1}
     for scheme, k_max in caps.items():
         assert max_truncation(scheme) == k_max
@@ -55,6 +102,8 @@ def test_term_argument_guards(pendulum):
             truncated_field(pendulum, scheme, k_max + 1)
     with pytest.raises(ValueError, match="step h"):
         truncated_field(pendulum, "rk2", 2).components((1.0, 0.0))
+    with pytest.raises(ValueError, match="step h"):
+        truncated_field(pendulum, "euler", 3)(np.array([1.0, 0.0]), None)
 
 
 def test_truncation_k1_is_base_field(pendulum, rng):
@@ -230,8 +279,8 @@ def test_midpoint_terms_match_probe(pendulum):
 
 
 def test_truncated_field_differentiates_through_jets(pendulum, rng):
-    # the step's h-series runs inside the jets of an enclosing derivative;
-    # mixing the two levels would break this Jacobian-vector product
+    # the terms' nested jets run inside the jets of an enclosing
+    # derivative; mixing the levels would break this Jacobian-vector product
     y = rng.uniform(-1, 1, size=(3, 2))
     v = rng.uniform(-1, 1, size=(3, 2))
     for scheme in ("rk2", "rk2_heun", "midpoint"):
