@@ -1,103 +1,37 @@
-"""Minimal reverse-mode automatic differentiation on numpy arrays.
+"""The reverse stage sweep: the discrete adjoint of one training step.
 
-Just enough operator coverage to backpropagate a scalar loss through the
-same stepping code that runs on arrays: the explicit Runge-Kutta stage
-loop (or the fixed unroll of the implicit-midpoint fixed point), whose
-stages are sums and products of states, steps and field values.  The
-learned field is not built from these operators: on a tape copy of a
-model, whose parameter vector is one leaf, ``ModifiedFieldModel.eval``
-records each evaluation as one node whose backward is the field's
-closed-form vector-Jacobian product.  Variables hold dense float arrays;
-constants stay plain ndarrays and are never tracked, on either side of an
-operator (``ndarray * Var`` reaches ``Var.__rmul__``).  Variables are
-added to variables and constants, and multiplied and subtracted by
-constants only.  Gradients accumulate in reverse topological order.
+A step ``y + sum_i (h b_i) k_i`` with stages ``k_i = f(y_i, h)`` at
+``y_i = y + sum_{j<i} (h a_ij) k_j`` is differentiated stage by stage,
+latest first (Hager 2000, Numer. Math.; Sanz-Serna 2016, SIAM Review):
+
+    kbar_i = (h b_i) gbar + sum_{l>i} (h a_li) ybar_l,
+
+where ``gbar`` is the gradient at the step's output and ``ybar_l`` the
+gradient at stage ``l``'s input, which the field's vector-Jacobian
+product returns.  The forward step records one such product per field
+evaluation (``ModifiedFieldModel.eval``); the sweep calls them in reverse
+and sums their parameter gradients in that order.
 """
 
-import numpy as np
 
+def backward(a, b, hc, vjps, g):
+    """Parameter gradient of a step whose output has gradient ``g``.
 
-def _unbroadcast(grad, shape):
-    # reduce a broadcast gradient back to the operand's shape
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+    ``a`` and ``b`` are the step's stage coefficients, ``hc`` the steps as
+    a column, and ``vjps`` the field's recorded vector-Jacobian products
+    in evaluation order: ``vjps[i](kbar, wrt_y)`` returns the parameter
+    gradient of stage ``i`` and, when ``wrt_y``, the gradient at its
+    input.  Zero coefficients are skipped, as in the forward stage loop.
+    """
+    kbar = [g * (hc * bi) if bi != 0.0 else None for bi in b]
+    grad = None
+    for i in range(len(vjps) - 1, -1, -1):
+        if kbar[i] is None:
+            continue
+        deps = [j for j in range(i) if a[i, j] != 0.0]
+        gi, gy = vjps[i](kbar[i], bool(deps))
+        grad = gi if grad is None else grad + gi
+        for j in deps:
+            gj = gy * (hc * a[i, j])
+            kbar[j] = gj if kbar[j] is None else kbar[j] + gj
     return grad
-
-
-class Var:
-    """Node of the tape: an array value plus how to push gradients back."""
-
-    __slots__ = ("value", "grad", "parents", "backward")
-    # numpy defers binary operators to Var instead of broadcasting over it
-    __array_ufunc__ = None
-
-    def __init__(self, value, parents=(), backward=None):
-        self.value = np.asarray(value, dtype=float)
-        self.grad = None
-        self.parents = parents
-        self.backward = backward
-
-    def _accum(self, g):
-        self.grad = g if self.grad is None else self.grad + g
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Var):
-            def back(g, a=self, b=other):
-                a._accum(_unbroadcast(g, a.value.shape))
-                b._accum(_unbroadcast(g, b.value.shape))
-            return Var(self.value + other.value, (self, other), back)
-        c = np.asarray(other, dtype=float)
-
-        def back(g, a=self):
-            a._accum(_unbroadcast(g, a.value.shape))
-        return Var(self.value + c, (self,), back)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -np.asarray(other, dtype=float)
-
-    def __mul__(self, other):
-        c = np.asarray(other, dtype=float)
-
-        def back(g, a=self):
-            a._accum(_unbroadcast(g * c, a.value.shape))
-        return Var(self.value * c, (self,), back)
-
-    __rmul__ = __mul__
-
-
-def weighted_sumsq(x, weights):
-    """Scalar ``sum_k weights_k * |x_k|^2`` for ``x`` (B, d), weights (B,)."""
-    w = np.asarray(weights, dtype=float)
-
-    def back(g, x=x, w=w):
-        x._accum((2.0 * g) * w[:, None] * x.value)
-    return Var(np.sum(w * np.sum(x.value**2, axis=-1)), (x,), back)
-
-
-def backward(root):
-    """Accumulate d(root)/d(leaf) into ``.grad`` of every reachable Var."""
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node.backward is not None and node.grad is not None:
-            node.backward(node.grad)

@@ -141,11 +141,10 @@ def rk_stage_loop(tab, field, y, h, checked=False):
     ``k_i = field(y + sum_{j<i} (h a_ij) k_j, h)``.
 
     The one stage loop behind :func:`rk_step`, learned-field stepping and
-    training: ``y`` and the field values may be arrays or tape variables
-    (``_tape.Var``), and ``h`` is a scalar or one step per leading row of
-    ``y``.  Zero coefficients are skipped.  With ``checked`` the stages
-    are arrays and a non-finite one raises :class:`StageOverflowError`
-    naming the stage.
+    training, on arrays; ``h`` is a scalar or one step per leading row of
+    ``y``.  Zero coefficients are skipped; training's reverse sweep
+    (``_tape.backward``) skips the same ones.  With ``checked`` a
+    non-finite stage raises :class:`StageOverflowError` naming the stage.
     """
     hc = np.asarray(h, dtype=float)
     if hc.ndim:

@@ -9,18 +9,17 @@ with each ``f_j`` a d->d network and ``R`` a (d+1)->d network taking the
 step as an extra input.  At h = 0 the learned field reduces to the base
 field, so any consistent scheme driven by it stays consistent.  Training
 minimizes the h-weighted one-step mean squared error.  Its step is the
-inference step: :func:`scheme_step` runs on a copy of the model whose
-``theta`` is one tape leaf (``_tape``), so the same Runge-Kutta stage
-loop builds the graph that gradients flow back through.  Each evaluation
-of the learned field is one node on that tape, whose backward is the
-closed-form vector-Jacobian product of ``f_app``: the base field's
-through its jet Jacobian, each net's through the tanh-MLP product
-``_mlp_backward``, which the per-term regression calls with no tape.  An
-MLP has one forward pass, ``_layers`` on arrays.  The input Jacobian
-runs the same ``(1 - a^2)`` recurrence, so the learned field's Jacobian
-is closed-form too.  Each model keeps all its parameters in one vector
-``theta``; the per-layer weights and biases are views into it, and
-gradients and Adam work on the whole vector.
+inference step: :func:`scheme_step` runs the same Runge-Kutta stage loop
+on arrays, and each evaluation of the learned field records its
+closed-form vector-Jacobian product: the base field's through its jet
+Jacobian, each net's through the tanh-MLP product ``_mlp_backward``,
+which the per-term regression calls too.  The gradient is one reverse
+sweep over the step's stages (``_tape.backward``) that calls those
+products latest first.  An MLP has one forward pass, ``_layers`` on
+arrays.  The input Jacobian runs the same ``(1 - a^2)`` recurrence, so
+the learned field's Jacobian is closed-form too.  Each model keeps all
+its parameters in one vector ``theta``; the per-layer weights and biases
+are views into it, and gradients and Adam work on the whole vector.
 
 All arithmetic is float64: the loss weights h^{-(2p+2)} span many orders
 of magnitude over a step range like [0.1, 2.5].
@@ -40,7 +39,8 @@ from .errors import (
     CheckpointVersionError,
     TrainingDivergedError,
 )
-from .integrators import canonical_scheme, get_tableau, rk_stage_loop
+from .integrators import (ButcherTableau, canonical_scheme, get_tableau,
+                          rk_stage_loop)
 from .systems import get_system
 
 CHECKPOINT_VERSION = 1
@@ -225,49 +225,47 @@ class ModifiedFieldModel:
         """Term nets in order, then the remainder net."""
         return list(self.term_nets) + [self.remainder_net]
 
-    def eval(self, y, h):
+    def eval(self, y, h, vjps=None):
         """``f_app(y, h)``; ``h`` scalar or one step per leading row.
 
-        On a tape copy of the model, whose ``theta`` is one ``_tape.Var``
-        leaf (:func:`step_loss_and_grad`), the evaluation is one tape node
-        over the state ``y`` (an array or a ``_tape.Var``) and that leaf.
+        With a list ``vjps`` (:func:`step_loss_and_grad`) the evaluation
+        also appends its closed-form vector-Jacobian product ``vjp(g,
+        wrt_y)``, which returns the gradient with respect to ``theta`` and,
+        when ``wrt_y``, the one with respect to ``y`` (else ``None``).
         """
-        taped = isinstance(self.theta, _tape.Var)
-        y_taped = isinstance(y, _tape.Var)
-        yv = y.value if y_taped else np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)
         h = _check_step(h)
         hcol = h[..., None]
-        if hcol.shape[:-1] != yv.shape[:-1]:
-            hcol = np.broadcast_to(hcol, yv.shape[:-1] + (1,))
-        xs = [yv] * len(self.term_nets) + [np.concatenate([yv, hcol], axis=-1)]
+        if hcol.shape[:-1] != y.shape[:-1]:
+            hcol = np.broadcast_to(hcol, y.shape[:-1] + (1,))
+        xs = [y] * len(self.term_nets) + [np.concatenate([y, hcol], axis=-1)]
         scales = [hcol ** (self.p + j) for j in range(self.n_terms)]
         acts = [[] for _ in xs]
-        out = self.base(yv)
+        out = self.base(y)
         for net, x, c, keep in zip(self.nets, xs, scales, acts):
-            out = out + c * (_layers(net, x, keep) if taped
-                             else mlp_forward(net, x))
-        if not taped:
+            out = out + c * (mlp_forward(net, x) if vjps is None
+                             else _layers(net, x, keep))
+        if vjps is None:
             return out
 
-        def back(g):
+        def vjp(g, wrt_y):
             # y's gradient sums the base field's part, then each net's in
             # turn: the order the pinned training-gradient bits rest on
-            if y_taped:
+            gy = None
+            if wrt_y:
                 gy = np.matmul(g[..., None, :],
-                               jets.jacobian(self.base, yv))[..., 0, :]
+                               jets.jacobian(self.base, y))[..., 0, :]
             grads = []
             for net, c, keep in zip(self.nets, scales, acts):
                 grad, gx = _mlp_backward(net, keep, g * c)
                 grads.append(grad)
-                if y_taped:
+                if wrt_y:
                     # the remainder's h column is a constant
                     gy = gy + (gx @ net.weights[0])[..., :self.dim]
-            self.theta._accum(np.concatenate(grads))
-            if y_taped:
-                y._accum(gy)
+            return np.concatenate(grads), gy
 
-        return _tape.Var(out, (y, self.theta) if y_taped else (self.theta,),
-                         back)
+        vjps.append(vjp)
+        return out
 
     def __call__(self, y, h=None):
         return self.eval(y, h)
@@ -310,28 +308,47 @@ def init_model(base, scheme, p, n_terms, hidden, seed):
 
 MIDPOINT_UNROLL = 10  # fixed-point iterations differentiated through
 
+# The unroll's Picard stages, for the reverse sweep: evaluation m reads
+# 0.5 * (y0 + z_m) = y0 + (h/2) k_{m-1}, and the step is z_M = y0 + h k_{M-1}.
+# The forward keeps the unroll's own arithmetic.
+_PICARD_A = np.diag(np.full(MIDPOINT_UNROLL - 1, 0.5), -1)
+_MIDPOINT_UNROLL = ButcherTableau("midpoint_unroll", _PICARD_A,
+                                  np.eye(MIDPOINT_UNROLL)[-1],
+                                  _PICARD_A.sum(axis=1), order=2)
 
-def scheme_step(model, scheme, y0, h):
-    """One step of ``scheme`` driven by the learned field, batch-aware.
 
-    ``h`` may be scalar or per-record ``(B,)``.  This is also the training
-    step (on a tape copy of the model), so the implicit midpoint rule runs
-    the same fixed unroll here as in training and reported losses match
-    the trained objective exactly.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    h = np.broadcast_to(np.asarray(h, dtype=float), y0.shape[:-1])
+def _step_tableau(scheme):
+    """The stages of the step :func:`scheme_step` takes for ``scheme``."""
     key = canonical_scheme(scheme)
     if key == "midpoint":
-        hc = h[..., None]
-        z = y0
-        for _ in range(MIDPOINT_UNROLL):
-            z = y0 + hc * model.eval(0.5 * (y0 + z), h)
-        return z
+        return _MIDPOINT_UNROLL
     tab = get_tableau(key)
     if not tab.is_explicit:
         raise ValueError(f"scheme {scheme!r} is not supported for stepping")
-    return rk_stage_loop(tab, model.eval, y0, h)
+    return tab
+
+
+def scheme_step(model, scheme, y0, h, vjps=None):
+    """One step of ``scheme`` driven by the learned field, batch-aware.
+
+    ``h`` may be scalar or per-record ``(B,)``.  This is also the training
+    step: with a list ``vjps`` each field evaluation appends its
+    vector-Jacobian product to it (:meth:`ModifiedFieldModel.eval`).  So
+    the implicit midpoint rule runs the same fixed unroll here as in
+    training, and reported losses match the trained objective exactly.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    h = np.broadcast_to(np.asarray(h, dtype=float), y0.shape[:-1])
+    tab = _step_tableau(scheme)
+    field = model.eval if vjps is None else (
+        lambda y, h: model.eval(y, h, vjps))
+    if tab is _MIDPOINT_UNROLL:
+        hc = h[..., None]
+        z = y0
+        for _ in range(MIDPOINT_UNROLL):
+            z = y0 + hc * field(0.5 * (y0 + z), h)
+        return z
+    return rk_stage_loop(tab, field, y0, h)
 
 
 # -- loss and gradients ------------------------------------------------
@@ -363,23 +380,26 @@ def _check_loss(loss, resid, w):
 def step_loss_and_grad(model, scheme, batch):
     """Loss and its gradient with respect to ``model.theta``.
 
-    Runs :func:`scheme_step` on a copy of the model whose ``theta`` is one
-    tape leaf and accumulates in reverse through the stage computations
-    of the scheme (explicit Runge-Kutta, or the fixed midpoint unroll).
-    Returns ``(loss, grad)`` with ``grad`` one vector aligned with
-    ``model.theta``.  Raises :class:`TrainingDivergedError` naming the
-    first offending record when the loss is not finite.
+    Runs :func:`scheme_step`, recording each field evaluation's
+    vector-Jacobian product, then sweeps the scheme's stages in reverse
+    (explicit Runge-Kutta, or the fixed midpoint unroll as Picard stages)
+    with :func:`_tape.backward`.  Returns ``(loss, grad)`` with ``grad``
+    one vector aligned with ``model.theta``.  Raises
+    :class:`TrainingDivergedError` naming the first offending record when
+    the loss is not finite.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    taped = copy.copy(model)
-    taped.theta = _tape.Var(model.theta)
-    resid = scheme_step(taped, scheme, batch.y0, batch.h) - batch.y1
+    vjps = []
+    resid = scheme_step(model, scheme, batch.y0, batch.h, vjps) - batch.y1
     w = batch.h ** (-(2 * model.p + 2))
-    loss = _tape.weighted_sumsq(resid, w) * (1.0 / len(w))
-    _check_loss(loss.value, resid.value, w)
-    _tape.backward(loss)
-    return float(loss.value), taped.theta.grad
+    scale = 1.0 / len(w)
+    loss = np.sum(w * np.sum(resid**2, axis=-1)) * scale
+    _check_loss(loss, resid, w)
+    tab = _step_tableau(scheme)
+    g = (2.0 * scale) * w[:, None] * resid
+    return float(loss), _tape.backward(tab.a, tab.b, batch.h[:, None], vjps,
+                                       g)
 
 
 # -- Adam ---------------------------------------------------------------

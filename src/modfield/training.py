@@ -26,7 +26,7 @@ The standard method trains all networks jointly through the integrator
 step.  The alternative method, for Euler only, first extracts per-term
 targets from flows at several step sizes by least squares, then regresses
 each network independently (parallelizable, one job per network) through
-the closed-form MLP backward, building no tape.  Both run the same
+the closed-form MLP backward.  Both run the same
 mini-batch Adam driver (``_descend``); a divergence names the epoch, the
 batch and the record's index into the set being trained, and on the
 per-term route the network.
@@ -109,8 +109,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
-        if not (0.0 < self.h_min < self.h_max):
-            raise ValueError("need 0 < h_min < h_max")
+        if not (0.0 < self.h_min < self.h_max < math.inf):
+            raise ValueError("need 0 < h_min < h_max, both finite")
         if self.n_records < 0:
             raise ValueError("n_records must be >= 0")
         if self.n_terms < 1 or self.n_steps < 1:
@@ -132,6 +132,19 @@ class TrainConfig:
             if value is None or len(value) != dim:
                 raise ValueError(f"{key} must have {dim} entries, the "
                                  f"dimension of system {self.system!r}")
+            if not all(math.isfinite(x) for x in value):
+                raise ValueError(f"{key} entries must be finite, "
+                                 f"got {value!r}")
+        if not all(lo < up for lo, up in zip(self.omega_lower,
+                                              self.omega_upper)):
+            raise ValueError("omega_lower must be below omega_upper in "
+                             "every entry")
+        shell = self.omega_shell
+        if shell is not None and not (
+                len(shell) == 2 and all(math.isfinite(r) for r in shell)
+                and 0.0 <= shell[0] < shell[1]):
+            raise ValueError("omega_shell must be two finite radii "
+                             f"0 <= r_min < r_max, got {shell!r}")
         if not self.hidden or any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden must list one or more widths >= 1, "
                              f"got {self.hidden!r}")
@@ -139,10 +152,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and >= 0")
         if self.seed < 0:
@@ -159,13 +172,15 @@ class TrainConfig:
 
 
 def format_config(cfg):
+    """``key=value`` lines that :func:`parse_config` reads back exactly."""
     lines = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if v is None:
             lines.append(f"{f.name}=")
         elif isinstance(v, (tuple, list)):
-            lines.append(f"{f.name}=" + ",".join(format(float(x), "g") for x in v))
+            fmt = str if f.name == "hidden" else neural.format_exact
+            lines.append(f"{f.name}=" + ",".join(fmt(x) for x in v))
         else:
             lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"

@@ -364,17 +364,24 @@ def test_bad_worker_count_is_a_usage_error(tmp_path, cfg_file, capsys,
                                   "weight_decay=-5", "weight_decay=nan",
                                   "weight_decay=inf", "seed=-1",
                                   "hidden=0", "hidden=6,0", "scheme=rk4",
-                                  "p=2", "system=rigid_body"])
+                                  "p=2", "system=rigid_body", "h_max=inf",
+                                  "h_min=nan", "learning_rate=inf",
+                                  "tol=inf", "omega_lower=-inf,-2",
+                                  "omega_upper=inf,2", "omega_lower=nan,-2",
+                                  "omega_lower=3,-2",
+                                  "omega_shell=1", "omega_shell=1,inf",
+                                  "omega_shell=1,0.5"])
 def test_bad_training_value_is_a_usage_error(tmp_path, cfg_file, capsys,
                                             line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(open(cfg_file).read() + "n_records=50\nepochs=1\n"
                    + line + "\n")
     out = tmp_path / "o"
-    rc = main(["train", "--config", str(cfg), "--out", str(out)])
-    assert rc == 2
-    assert line.split("=")[0] in capsys.readouterr().err
-    assert not (out / "model.json").exists()
+    for command in ("train", "generate"):
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
 
 
 # p follows the scheme: an RK2 config needs no p= line, and the p= line

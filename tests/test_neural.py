@@ -1,4 +1,3 @@
-import copy
 import json
 
 import numpy as np
@@ -10,7 +9,7 @@ from modfield.errors import (
     CheckpointVersionError,
     TrainingDivergedError,
 )
-from modfield._tape import Var, backward, weighted_sumsq
+from modfield import _tape
 from modfield.integrators import (box_grid, estimate_lipschitz, get_tableau,
                                   rk_step)
 from modfield.neural import (
@@ -242,7 +241,8 @@ def test_step_loss_permutation_invariant(pendulum):
 @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk2_heun", "midpoint"])
 def test_gradients_match_finite_differences(scheme):
     p = 1 if scheme == "euler" else 2
-    # the rigid body (d = 3) multiplies state columns on the tape
+    # on the rigid body (d = 3) the base field's vector-Jacobian product
+    # multiplies state columns
     for system in ("pendulum", "rigid_body"):
         base = get_system(system)
         for n_terms in (1, 3):
@@ -266,36 +266,32 @@ def test_gradients_match_finite_differences(scheme):
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
-def _tape_nodes(root):
-    nodes, stack, seen = [], [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node.parents)
-    return nodes
-
-
 @pytest.mark.parametrize("scheme, p, passes", [
     ("euler", 1, 1), ("rk2", 2, 2), ("midpoint", 2, MIDPOINT_UNROLL)])
 def test_tape_has_one_leaf_per_net_and_one_node_per_pass(pendulum, scheme,
                                                          p, passes):
-    # all nets share one leaf, theta; each field evaluation is one node
+    # the step records one vector-Jacobian product per field evaluation,
+    # and the reverse sweep over them is the training gradient
     model = init_model(pendulum, scheme, p, 3, (8, 8), seed=11)
     batch = _synthetic_batch(pendulum, model, 16, seed=13)
-    taped = copy.copy(model)
-    taped.theta = Var(model.theta)
     y0, h, y1 = batch.y0, batch.h, batch.y1
-    resid = scheme_step(taped, scheme, y0, h) - y1
-    loss = weighted_sumsq(resid, h ** (-(2 * p + 2))) * (1.0 / len(batch))
-    graph = _tape_nodes(loss)
-    assert [n for n in graph if not n.parents] == [taped.theta]
-    users = [n for n in graph if any(q is taped.theta for q in n.parents)]
-    assert len(users) == passes
-    backward(loss)
+    vjps = []
+    pred = scheme_step(model, scheme, y0, h, vjps)
+    assert np.array_equal(pred, scheme_step(model, scheme, y0, h))
+    resid = pred - y1
+    assert len(vjps) == passes
+    w = h ** (-(2 * p + 2))
+    g = (2.0 / len(batch)) * w[:, None] * resid
+    if scheme == "midpoint":
+        # Picard stages: evaluation m reads y0 + (h/2) k_{m-1}
+        a = np.diag(np.full(passes - 1, 0.5), -1)
+        b = np.eye(passes)[-1]
+    else:
+        tab = get_tableau(scheme)
+        a, b = tab.a, tab.b
+    got = _tape.backward(a, b, h[:, None], vjps, g)
     _, grad = step_loss_and_grad(model, scheme, batch)
-    assert np.array_equal(taped.theta.grad, grad)
+    assert np.array_equal(got, grad)
 
 
 @pytest.mark.parametrize("system", ["pendulum", "rigid_body"])
@@ -305,16 +301,17 @@ def test_field_node_state_gradient_is_the_jacobian_product(system, n_terms):
     model = init_model(base, "euler", 1, n_terms, (8, 8), seed=29)
     rng = np.random.default_rng(29)
     model.theta += rng.normal(0.0, 0.3, model.theta.size)
-    y = Var(rng.uniform(-1.5, 1.5, size=(12, base.dim)))
+    y = rng.uniform(-1.5, 1.5, size=(12, base.dim))
     g = rng.standard_normal((12, base.dim))
-    taped = copy.copy(model)
-    taped.theta = Var(model.theta)
-    node = taped.eval(y, 0.3)
-    assert node.parents == (y, taped.theta)
-    assert np.array_equal(node.value, model.eval(y.value, 0.3))
-    node.backward(g)
-    want = np.einsum("bi,bij->bj", g, model.jacobian(y.value, 0.3))
-    assert np.allclose(y.grad, want, rtol=0, atol=1e-13)
+    vjps = []
+    assert np.array_equal(model.eval(y, 0.3, vjps), model.eval(y, 0.3))
+    [vjp] = vjps
+    grad, gy = vjp(g, True)
+    assert grad.shape == model.theta.shape
+    theta_only, no_gy = vjp(g, False)
+    assert np.array_equal(theta_only, grad) and no_gy is None
+    want = np.einsum("bi,bij->bj", g, model.jacobian(y, 0.3))
+    assert np.allclose(gy, want, rtol=0, atol=1e-13)
 
 
 def test_gradient_divergence_names_record(pendulum):

@@ -31,6 +31,7 @@ from modfield.training import (
     load_config,
     load_dataset,
     parse_config,
+    save_config,
     save_dataset,
     split_dataset,
     train,
@@ -140,6 +141,14 @@ def test_config_round_trip(tmp_path):
                       seed=99, n_steps=6)
     path = tmp_path / "run.cfg"
     path.write_text(format_config(cfg))
+    assert load_config(path) == cfg
+    # bounds with more than 6 significant digits read back bit for bit,
+    # and widths stay integers
+    cfg = replace(cfg, omega_lower=(-1.2345678901, -2.0, -0.1),
+                  omega_shell=(0.98765432109876, 1.0123456789012345),
+                  hidden=(1234567, 8))
+    save_config(cfg, path)
+    assert "hidden=1234567,8\n" in path.read_text()
     assert load_config(path) == cfg
 
 
