@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, modified_field, neural, training
-from .errors import CheckpointError, ModfieldError, UnsupportedTruncationError
+from .errors import (CheckpointError, ModfieldError, TrainingDivergedError,
+                     UnsupportedTruncationError)
 from .integrators import box_grid, dopri5_integrate, get_stepper, integrate
 from .systems import get_system, reference_trajectory
 
@@ -201,11 +202,18 @@ def _init_model(cfg):
 
 
 def _fit(cfg, ds):
-    """A fresh model for ``cfg``, trained on its split of ``ds``."""
+    """A fresh model for ``cfg``, trained on its split of ``ds``; a
+    divergence names the record's index in ``ds``, its CSV data row."""
     train_set, test_set = training.split_dataset(ds, cfg.train_fraction,
                                                  cfg.seed)
-    return training.train(_init_model(cfg), cfg.scheme, train_set, test_set,
-                          cfg)
+    try:
+        return training.train(_init_model(cfg), cfg.scheme, train_set,
+                              test_set, cfg)
+    except TrainingDivergedError as exc:
+        record = int(training._split_order(len(ds), cfg.seed)[exc.record])
+        raise TrainingDivergedError(
+            f"{exc} of the training split, dataset record {record}",
+            epoch=exc.epoch, batch=exc.batch, record=record) from exc
 
 
 @_command("train")

@@ -111,14 +111,17 @@ def mlp_init(layer_sizes, seed):
 
 
 def _layers(net, x, keep=None):
-    """The pass on arrays; appends each layer's input to ``keep``."""
+    """The pass on arrays; appends each layer's input to ``keep``.  The
+    bias and tanh go in place on each product's fresh output only, so
+    ``x`` and the kept inputs are never written."""
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         if keep is not None:
             keep.append(x)
-        x = x @ w.T + b
+        x = x @ w.T
+        x += b
         if i < last:
-            x = np.tanh(x)
+            np.tanh(x, out=x)
     return x
 
 

@@ -523,11 +523,16 @@ def load_dataset(path):
                    system, scheme, float(tol_str), 0)
 
 
+def _split_order(n, seed):
+    """Dataset index of each record of :func:`split_dataset`'s halves."""
+    return np.random.default_rng(seed).permutation(n)
+
+
 def split_dataset(ds, fraction, seed):
     """Deterministic shuffle, first ``floor(fraction*K)`` records train."""
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
-    perm = np.random.default_rng(seed).permutation(len(ds))
+    perm = _split_order(len(ds), seed)
     n0 = int(math.floor(fraction * len(ds)))
     return ds.subset(perm[:n0]), ds.subset(perm[n0:])
 
@@ -559,29 +564,31 @@ def _full_loss(model, scheme, ds):
         return 0.0
     total = 0.0
     for s in range(0, len(ds), _LOSS_CHUNK):
-        part = ds.subset(np.arange(s, min(s + _LOSS_CHUNK, len(ds))))
+        part = ds.subset(slice(s, s + _LOSS_CHUNK))
         total += neural.step_loss(model, scheme, part) * len(part)
     return total / len(ds)
 
 
-def _descend(theta, n, grad_at, cfg, seed, what):
-    """Mini-batch Adam on ``theta`` over a set of ``n`` records.
+def _descend(theta, data, grad_at, cfg, seed, what):
+    """Mini-batch Adam on ``theta`` over the rows of the arrays ``data``.
 
-    Each epoch shuffles with ``default_rng(seed)`` and makes one update
-    per batch from ``grad_at(idx)``, the gradient on records ``idx``,
-    then yields its number.  A divergence is re-raised naming ``what``,
-    the epoch, the batch and the record's index into the set.
+    Each epoch permutes every array once with one ``default_rng(seed)``
+    draw and makes one update per batch from ``grad_at(*batch)``, the
+    gradient on the next slice of each, then yields its number.  A
+    divergence is re-raised naming ``what``, the epoch, the batch and the
+    record's index into the set.
     """
     state = neural.AdamState(cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(seed)
+    n = len(data[0])
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
+        shuffled = [a[perm] for a in data]
         for bi, s in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[s:s + cfg.batch_size]
             try:
-                grad = grad_at(idx)
+                grad = grad_at(*(a[s:s + cfg.batch_size] for a in shuffled))
             except TrainingDivergedError as exc:
-                record = int(idx[exc.record])
+                record = int(perm[s + exc.record])
                 raise TrainingDivergedError(
                     f"{what} diverged at epoch {epoch}, batch {bi}: "
                     f"non-finite loss at record {record}",
@@ -602,13 +609,14 @@ def train(model, scheme, train_set, test_set, cfg):
         initial_train=_full_loss(model, scheme, train_set),
         initial_test=_full_loss(model, scheme, test_set))
 
-    def grad_at(idx):
-        batch = train_set.subset(idx)
-        return neural.step_loss_and_grad(model, scheme, batch)[1]
+    def grad_at(y0, h, y1):
+        return neural.step_loss_and_grad(model, scheme,
+                                         Dataset(y0, h, y1))[1]
 
     t0 = time.perf_counter()
-    for epoch in _descend(model.theta, len(train_set), grad_at, cfg,
-                          [cfg.seed, 977], "training"):
+    for epoch in _descend(model.theta,
+                          (train_set.y0, train_set.h, train_set.y1),
+                          grad_at, cfg, [cfg.seed, 977], "training"):
         lt = _full_loss(model, scheme, train_set)
         lv = _full_loss(model, scheme, test_set)
         report.train_losses.append(lt)
@@ -709,11 +717,11 @@ def _regress_job(args):
     (sizes, weights, biases, X, T, cfg, j, name) = args
     net = neural.MlpParams(list(sizes), weights, biases)  # owns a copy
 
-    def grad_at(idx):
-        return _regress_loss_and_grad(net, X[idx], T[idx])[1]
+    def grad_at(x, t):
+        return _regress_loss_and_grad(net, x, t)[1]
 
     losses = []
-    for _epoch in _descend(net.vector, len(X), grad_at, cfg,
+    for _epoch in _descend(net.vector, (X, T), grad_at, cfg,
                            [cfg.seed, 50 + j], f"regression of {name}"):
         err = neural.mlp_forward(net, X) - T
         losses.append(float(np.mean(np.sum(err**2, axis=-1))) if len(X)
@@ -743,8 +751,9 @@ def alt_train(nets, term_data, remainder_data, cfg, workers=1):
                      np.asarray(data_x, dtype=float),
                      np.asarray(data_t, dtype=float), cfg, j, name))
     if workers > 1 and len(jobs) > 1:
+        # the remainder, the job with the most rows, starts first
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_regress_job, jobs))
+            results = list(pool.map(_regress_job, jobs[::-1]))[::-1]
     else:
         results = [_regress_job(j) for j in jobs]
     histories = []

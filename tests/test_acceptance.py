@@ -4,9 +4,9 @@ Each test prints a single ``criterion N (...): PASS/FAIL`` line; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines as they appear
 (they are also shown with ``-rA``).  The heaviest fixtures are the desk
 training run (criterion 5, ~20 s) and the standard-versus-per-term
-comparison pipeline (criterion 7, a few minutes single-threaded); the
-tests over ~10 s carry the ``slow`` marker, so ``pytest -m "not slow"``
-skips them.
+comparison pipeline (criterion 7, a few minutes, with the per-term
+training on two workers); the tests over ~10 s carry the ``slow``
+marker, so ``pytest -m "not slow"`` skips them.
 """
 
 import numpy as np
@@ -219,8 +219,12 @@ def compare_runs(tmp_path_factory):
     std, alt, cmp_ = tmp / "std", tmp / "alt", tmp / "cmp"
     assert bench_main(["train", "--preset", "desk-pendulum-compare-std",
                        "--out", str(std)]) == 0
-    assert bench_main(["train-alt", "--preset", "desk-pendulum-compare-alt",
-                       "--out", str(alt)]) == 0
+    # per-term results do not depend on the worker count
+    # (test_alt_train_worker_independent), so two workers only save time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MODFIELD_WORKERS", "2")
+        assert bench_main(["train-alt", "--preset",
+                           "desk-pendulum-compare-alt", "--out", str(alt)]) == 0
     assert bench_main(["compare-alt", "--preset", "desk-pendulum-compare-std",
                        "--model-std", str(std / "model.json"),
                        "--model-alt", str(alt / "model_alt.json"),

@@ -8,7 +8,8 @@ from modfield.bench_cli import main
 from modfield.modified_field import truncated_field
 from modfield.neural import init_model, load_model, save_model
 from modfield.systems import get_system
-from modfield.training import TrainConfig, load_dataset, save_config
+from modfield.training import (TrainConfig, load_dataset, save_config,
+                                save_dataset, split_dataset)
 
 
 def micro_cfg(**kw):
@@ -538,6 +539,27 @@ def test_training_divergence_is_a_numerical_failure(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_training_divergence_names_the_dataset_row(tmp_path, cfg_file,
+                                                  capsys):
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg_file, "--out", str(gen)]) == 0
+    ds = load_dataset(gen / "dataset.csv")
+    cfg = micro_cfg()
+    train_set, _ = split_dataset(ds, cfg.train_fraction, cfg.seed)
+    k = int(np.flatnonzero((ds.y0 == train_set.y0[5]).all(axis=1))[0])
+    ds.y1[k] = 1e300  # finite in the CSV; its squared residual overflows
+    bad = tmp_path / "bad.csv"
+    save_dataset(ds, bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--config", cfg_file, "--data", str(bad),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "training diverged at epoch 1" in err
+    assert f"record 5 of the training split, dataset record {k}\n" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreachable_shell_is_a_numerical_failure(tmp_path, capsys):

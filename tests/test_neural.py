@@ -15,6 +15,7 @@ from modfield.integrators import (box_grid, estimate_lipschitz, get_tableau,
 from modfield.neural import (
     AdamState,
     MIDPOINT_UNROLL,
+    _layers,
     adam_update,
     init_model,
     load_model,
@@ -68,6 +69,47 @@ def test_mlp_forward_batch_and_input_guard():
     assert np.allclose(batched, rows, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         mlp_forward(net, np.zeros((3, 5)))
+
+
+class _KeptCopies(list):
+    """A ``keep`` list that also snapshots each array as it is kept."""
+
+    def __init__(self):
+        super().__init__()
+        self.copies = []
+
+    def append(self, a):
+        super().append(a)
+        self.copies.append(a.copy())
+
+
+def _out_of_place_layers(net, x, keep):
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        keep.append(x)
+        x = x @ w.T + b
+        if i < last:
+            x = np.tanh(x)
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 100, 800, 5000])
+@pytest.mark.parametrize("sizes", [[2, 50, 50, 2], [3, 50, 50, 2]])
+def test_layers_in_place_keep_every_bit(rows, sizes):
+    """The in-place bias and tanh give the out-of-place pass's bits and
+    write neither the input nor any kept layer input."""
+    net = mlp_init(sizes, seed=[rows, sizes[0]])
+    x = np.random.default_rng(rows).uniform(-2.0, 2.0, size=(rows, sizes[0]))
+    x_before = x.copy()
+    keep, ref_keep = _KeptCopies(), []
+    out = _layers(net, x, keep)
+    ref = _out_of_place_layers(net, x, ref_keep)
+    assert np.array_equal(x, x_before)
+    assert keep[0] is x and len(keep) == len(net.weights)
+    for kept, snapshot, want in zip(keep, keep.copies, ref_keep):
+        assert kept.tobytes() == snapshot.tobytes() == want.tobytes()
+    assert out.tobytes() == ref.tobytes()
+    assert _layers(net, x).tobytes() == ref.tobytes()
 
 
 def test_mlp_output_layer_is_affine():

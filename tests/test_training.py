@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from modfield import neural
+from modfield import neural, training
 from modfield.errors import (ConditioningError, DomainSamplingError,
                              TrainingDivergedError)
 from modfield.integrators import adaptive_flow_batch, box_grid, get_tableau
@@ -471,6 +471,65 @@ def test_train_divergence_names_the_training_set_record(micro_data,
     assert exc.value.record == k
     assert f"record {k}" in str(exc.value)
     assert f"batch {exc.value.batch}" in str(exc.value)
+
+
+def _epoch_batches(n, cfg, seed):
+    """The record indices of each batch, epoch after epoch, in the order
+    the mini-batch driver draws them."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        batches += [perm[s:s + cfg.batch_size]
+                    for s in range(0, n, cfg.batch_size)]
+    return batches
+
+
+def test_train_batches_are_slices_of_each_epoch_permutation(
+        micro_data, pendulum, monkeypatch):
+    cfg, tr, te = micro_data
+    cfg = replace(cfg, batch_size=20)  # a short last batch too
+    seen = []
+
+    def recording(model, scheme, batch):
+        seen.append((batch.y0.copy(), batch.h.copy(), batch.y1.copy()))
+        return 0.0, np.zeros_like(model.theta)
+
+    monkeypatch.setattr(neural, "step_loss_and_grad", recording)
+    model = init_model(pendulum, cfg.scheme, cfg.p, cfg.n_terms,
+                       cfg.hidden, cfg.seed)
+    train(model, cfg.scheme, tr, te, cfg)
+    want = _epoch_batches(len(tr), cfg, [cfg.seed, 977])
+    assert len(seen) == len(want) == 3 * cfg.epochs
+    for (y0, h, y1), idx in zip(seen, want):
+        assert np.array_equal(y0, tr.y0[idx])
+        assert np.array_equal(h, tr.h[idx])
+        assert np.array_equal(y1, tr.y1[idx])
+
+
+def test_regression_batches_are_slices_of_each_epoch_permutation(
+        monkeypatch):
+    cfg = micro_config(batch_size=7, epochs=2, seed=3)
+    rng = np.random.default_rng(3)
+    X, C = rng.normal(size=(20, 2)), rng.normal(size=(1, 20, 2))
+    XR, R = rng.normal(size=(45, 3)), rng.normal(size=(45, 2))
+    seen = []
+
+    def recording(net, x, t):
+        seen.append((x.copy(), t.copy()))
+        return 0.0, np.zeros_like(net.vector)
+
+    monkeypatch.setattr(training, "_regress_loss_and_grad", recording)
+    nets = [mlp_init([2, 6, 2], [3, 0]), mlp_init([3, 6, 2], [3, 1])]
+    alt_train(nets, (X, C), (XR, R), cfg)
+    want = [(X, C[0], idx)
+            for idx in _epoch_batches(len(X), cfg, [cfg.seed, 50])]
+    want += [(XR, R, idx)
+             for idx in _epoch_batches(len(XR), cfg, [cfg.seed, 51])]
+    assert len(seen) == len(want) == 2 * (3 + 7)
+    for (x, t), (data_x, data_t, idx) in zip(seen, want):
+        assert np.array_equal(x, data_x[idx])
+        assert np.array_equal(t, data_t[idx])
 
 
 def test_empty_training_sets_report_zero_losses(pendulum):
