@@ -363,7 +363,8 @@ def step_loss(model, scheme, batch):
         return 0.0
     pred = scheme_step(model, scheme, batch.y0, batch.h)
     w = batch.h ** (-(2 * model.p + 2))
-    return float(np.mean(w * np.sum((pred - batch.y1) ** 2, axis=-1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(w * np.sum((pred - batch.y1) ** 2, axis=-1)))
 
 
 def _check_loss(loss, resid, w):
@@ -372,7 +373,8 @@ def _check_loss(loss, resid, w):
     ``resid``, is not finite."""
     if np.isfinite(loss):
         return
-    per_record = w * np.sum(resid**2, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_record = w * np.sum(resid**2, axis=-1)
     bad = np.flatnonzero(~np.isfinite(per_record))
     record = int(bad[0]) if bad.size else int(np.argmax(per_record))
     raise TrainingDivergedError(
@@ -397,7 +399,8 @@ def step_loss_and_grad(model, scheme, batch):
     resid = scheme_step(model, scheme, batch.y0, batch.h, vjps) - batch.y1
     w = batch.h ** (-(2 * model.p + 2))
     scale = 1.0 / len(w)
-    loss = np.sum(w * np.sum(resid**2, axis=-1)) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = np.sum(w * np.sum(resid**2, axis=-1)) * scale
     _check_loss(loss, resid, w)
     tab = _step_tableau(scheme)
     g = (2.0 * scale) * w[:, None] * resid

@@ -10,17 +10,20 @@ per-record stream and counted.
 
 Stream contract: a record consumes exactly the doubles that drawing one
 state at a time would, ``d`` per candidate state (in order, rejected ones
-included) and then one for ``log h``.  The shell sampler looks ahead in
-blocks on a copy of the generator and then takes the same number of
-draws from the generator itself, so blocking changes no dataset.
+included) and then one for ``log h``.
 
-Record generators are built in bulk (``_record_rngs``): NumPy's
-``SeedSequence`` hash, which its stream-compatibility policy (NEP 19)
-freezes, runs once over every record's entropy ``[seed, i]`` as wrapping
-``uint32`` array arithmetic, and each ``PCG64`` takes its four seed
-words from that table.  A record generator keeps its words, so a copy is
-a new ``PCG64`` from the same words set to the same position, which is
-far cheaper than copying through pickling.
+Every record's first ``d + 1`` doubles come from one array pass: NumPy's
+``SeedSequence`` hash (``_record_words``) and then ``PCG64`` itself
+(``_record_doubles``), both frozen by NumPy's stream policy (NEP 19),
+run on ``uint64`` arrays with one lane per record.  The first candidate
+state and ``log h`` are read off that table.  Only two kinds of record
+get a ``Generator``, which replays the record's stream from its seed
+words: one whose first candidate the norm shell rejects, which then
+draws through the shell sampler, and one whose reference flow fails,
+which draws its next pair.  The shell sampler looks ahead in blocks on a
+copy of the generator and then takes the same number of draws from the
+generator itself, so neither the table nor the blocking changes a
+dataset.
 
 The standard method trains all networks jointly through the integrator
 step.  The alternative method, for Euler only, first extracts per-term
@@ -356,6 +359,55 @@ def _record_words(seed, start, stop):
                      for j in range(4)], axis=1)
 
 
+# PCG64's 128-bit LCG multiplier, as 64-bit halves and the low half's
+# 32-bit limbs
+_PCG_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_LO0 = np.uint64(0x9FCCF645)
+_PCG_LO1 = np.uint64(0x4385DF64)
+
+
+def _add128(hi, lo, b_hi, b_lo):
+    """``hi:lo + b_hi:b_lo`` mod 2**128 on ``uint64`` halves."""
+    s = lo + b_lo
+    return hi + b_hi + (s < lo), s
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """``state * MULT + inc`` mod 2**128 on ``uint64`` halves.  The high
+    half of ``lo * MULT_LO`` comes from 32-bit limbs."""
+    a0, a1 = lo & _U32, lo >> 32
+    p00, p01 = a0 * _PCG_LO0, a0 * _PCG_LO1
+    p10, p11 = a1 * _PCG_LO0, a1 * _PCG_LO1
+    mid = (p00 >> 32) + (p01 & _U32) + (p10 & _U32)
+    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return _add128(hi * _PCG_LO + lo * _PCG_HI + carry, lo * _PCG_LO,
+                   inc_hi, inc_lo)
+
+
+def _record_doubles(words, k):
+    """Row ``i`` is the first ``k`` doubles of the ``PCG64`` stream seeded
+    with ``words[i]``; on a :func:`_record_words` table, bit for bit
+    ``np.random.default_rng([seed, i]).random(k)``, shaped ``(n, k)``.
+
+    ``PCG64`` (NEP 19 freezes its seeding and stream) runs on ``uint64``
+    arrays, one lane per record.  Seeding: ``inc = (w2:w3 << 1) | 1``,
+    one step from zero, ``state += w0:w1``, one step.  Each output: one
+    step, the XSL-RR output function, then ``(x >> 11) * 2**-53``.
+    """
+    w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).reshape(-1, 4).T
+    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+    hi, lo = _add128(inc_hi, inc_lo, w0, w1)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((len(w0), k))
+    for j in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, j] = (x >> 11) * 2.0**-53
+    return out
+
+
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """Fixed ``PCG64`` seed words, given through NumPy's seed interface."""
 
@@ -379,10 +431,19 @@ class _RecordRng(np.random.Generator):
         return twin
 
 
-def _record_rngs(seed, start, stop):
-    """Generators of records [start, stop), each bit for bit
-    ``np.random.default_rng([seed, i])``."""
-    return [_RecordRng(w) for w in _record_words(seed, start, stop)]
+def _near_shell(xs, shell):
+    """Rows of ``xs`` that may lie in the shell: a vectorised norm with a
+    1e-12 relative margin, so every row it leaves out fails
+    :func:`_in_shell`."""
+    r_min, r_max = shell
+    r = np.linalg.norm(xs, axis=1)
+    return np.flatnonzero((r >= r_min * (1.0 - 1e-12))
+                          & (r <= r_max * (1.0 + 1e-12)))
+
+
+def _in_shell(x, shell):
+    """The scalar shell test, which decides every accept."""
+    return shell[0] <= float(np.linalg.norm(x)) <= shell[1]
 
 
 def _draw_state(rng, box):
@@ -390,28 +451,26 @@ def _draw_state(rng, box):
 
     Only ``rng.uniform`` is called, and ``rng`` ends where drawing one
     candidate at a time would leave it.  The shell search runs in blocks
-    on a copy of ``rng``; a vectorised norm with a 1e-12 relative margin
-    preselects candidates, and the scalar test decides, so every accept
-    is the one-at-a-time accept.
+    on a copy of ``rng``; :func:`_near_shell` preselects candidates and
+    :func:`_in_shell` decides, so every accept is the one-at-a-time
+    accept.
     """
     lower = box.lower
     span = box.upper - lower
     d = lower.size
     if box.shell is None:
         return lower + span * rng.uniform(0.0, 1.0, size=d)
-    r_min, r_max = box.shell
     probe = copy.deepcopy(rng)
     drawn = 0
     while drawn < _MAX_DRAWS:
         m = min(_BLOCK, _MAX_DRAWS - drawn)
         xs = lower + span * probe.uniform(0.0, 1.0, size=(m, d))
-        r = np.linalg.norm(xs, axis=1)
-        near = (r >= r_min * (1.0 - 1e-12)) & (r <= r_max * (1.0 + 1e-12))
-        for j in np.flatnonzero(near):
-            if r_min <= float(np.linalg.norm(xs[j])) <= r_max:
+        for j in _near_shell(xs, box.shell):
+            if _in_shell(xs[j], box.shell):
                 n = drawn + int(j) + 1
                 return lower + span * rng.uniform(0.0, 1.0, size=(n, d))[-1]
         drawn += m
+    r_min, r_max = box.shell
     raise DomainSamplingError(
         f"no state with {r_min:g} <= |y| <= {r_max:g} in {_MAX_DRAWS} "
         "uniform draws from the box")
@@ -431,19 +490,36 @@ def _draw_pair(rng, box, log_lo, log_hi, record):
     return y0, h
 
 
+def _first_candidates(words, box, k):
+    """Each record's first candidate state, the first ``k`` doubles of
+    its stream, and the rows whose candidate the shell rejects."""
+    u = _record_doubles(words, k)
+    x = box.lower + (box.upper - box.lower) * u[:, :box.lower.size]
+    if box.shell is None:
+        return x, u, []
+    rejected = np.ones(len(x), dtype=bool)
+    for j in _near_shell(x, box.shell):
+        rejected[j] = not _in_shell(x[j], box.shell)
+    return x, u, np.flatnonzero(rejected).tolist()
+
+
 def _generate_range(cfg, start, stop):
     """Records [start, stop) of the dataset; pure function of cfg."""
     field_ = get_system(cfg.system)
     box = cfg.domain()
+    d = field_.dim
     log_lo, log_hi = math.log(cfg.h_min), math.log(cfg.h_max)
-    n = stop - start
-    rngs = _record_rngs(cfg.seed, start, stop)
-    y0 = np.empty((n, field_.dim))
-    h = np.empty(n)
-    for k, rng in enumerate(rngs):
-        y0[k], h[k] = _draw_pair(rng, box, log_lo, log_hi, start + k)
+    words = _record_words(cfg.seed, start, stop)
+    y0, u, rejected = _first_candidates(words, box, d + 1)
+    # math.exp, as _draw_pair takes it, not np.exp
+    h = np.array([math.exp(v) for v in
+                  (log_lo + (log_hi - log_lo) * u[:, d]).tolist()])
+    rngs = {}  # the records that have a generator, set after their last pair
+    for k in rejected:
+        rngs[k] = _RecordRng(words[k])
+        y0[k], h[k] = _draw_pair(rngs[k], box, log_lo, log_hi, start + k)
     y1 = np.empty_like(y0)
-    pending = np.arange(n)
+    pending = np.arange(stop - start)
     resampled = 0
     for _ in range(100):
         out, ok, _reached = adaptive_flow_batch(
@@ -454,6 +530,9 @@ def _generate_range(cfg, start, stop):
             return y0, h, y1, resampled
         resampled += failed.size
         for k in failed:
+            if k not in rngs:
+                rngs[k] = _RecordRng(words[k])
+                rngs[k].bit_generator.advance(d + 1)
             y0[k], h[k] = _draw_pair(rngs[k], box, log_lo, log_hi, start + k)
         pending = failed
     raise IntegrationFailureError(
@@ -706,7 +785,8 @@ def _regress_loss_and_grad(net, x, t):
     acts = []
     resid = neural._layers(net, x, acts) - t
     scale = 1.0 / len(x)
-    loss = np.sum(np.sum(resid**2, axis=-1)) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = np.sum(np.sum(resid**2, axis=-1)) * scale
     neural._check_loss(loss, resid, 1.0)
     return float(loss), neural._mlp_backward(net, acts,
                                              (2.0 * scale) * resid)[0]
@@ -777,10 +857,10 @@ def build_alt_training_data(cfg):
     field_ = get_system(cfg.system)
     box = cfg.domain()
     K = int(cfg.n_records)
-    rngs = _record_rngs(cfg.seed, 0, K)
-    X = np.empty((K, field_.dim))
-    for i, rng in enumerate(rngs):
-        X[i] = _draw_record_state(rng, box, i)
+    words = _record_words(cfg.seed, 0, K)
+    X, _u, rejected = _first_candidates(words, box, field_.dim)
+    for i in rejected:
+        X[i] = _draw_record_state(_RecordRng(words[i]), box, i)
     steps = np.geomspace(cfg.h_min, cfg.h_max, cfg.n_steps)
     C, R = alt_extract_targets(field_, X, steps, cfg.n_terms, cfg.p,
                                tol=cfg.tol)

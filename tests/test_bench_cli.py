@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -559,6 +560,33 @@ def test_training_divergence_names_the_dataset_row(tmp_path, cfg_file,
     err = capsys.readouterr().err
     assert "training diverged at epoch 1" in err
     assert f"record 5 of the training split, dataset record {k}\n" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_record_prints_only_the_typed_error(tmp_path, cfg_file,
+                                                       capsys):
+    # the scenario above, with numpy warnings turned into errors and no
+    # errstate around the run: the loss arithmetic keeps its own
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg_file, "--out", str(gen)]) == 0
+    ds = load_dataset(gen / "dataset.csv")
+    cfg = micro_cfg()
+    train_set, _ = split_dataset(ds, cfg.train_fraction, cfg.seed)
+    k = int(np.flatnonzero((ds.y0 == train_set.y0[5]).all(axis=1))[0])
+    ds.y1[k] = 1e300
+    bad = tmp_path / "bad.csv"
+    save_dataset(ds, bad)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--config", cfg_file, "--data", str(bad),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: training diverged at epoch 1")
+    assert err.endswith(
+        f"record 5 of the training split, dataset record {k}\n")
+    assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

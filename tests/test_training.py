@@ -15,8 +15,9 @@ from modfield.neural import (ModifiedFieldModel, init_model, mlp_forward,
                              mlp_init)
 from modfield.training import (
     _draw_state,
-    _record_rngs,
+    _record_doubles,
     _record_words,
+    _RecordRng,
     _regress_loss_and_grad,
     PRESETS,
     Dataset,
@@ -275,9 +276,8 @@ def test_record_words_are_the_seed_sequence_state(seed):
 
 @pytest.mark.parametrize("seed", RECORD_SEEDS)
 def test_record_rngs_draw_what_default_rng_draws(seed):
-    rngs = _record_rngs(seed, 5, 9)
-    assert len(rngs) == 4
-    for i, rng in zip(range(5, 9), rngs):
+    for i, words in zip(range(5, 9), _record_words(seed, 5, 9)):
+        rng = _RecordRng(words)
         ref = np.random.default_rng([seed, i])
         assert rng.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(rng.uniform(-2.0, 2.0, size=(7, 3)),
@@ -286,7 +286,7 @@ def test_record_rngs_draw_what_default_rng_draws(seed):
 
 
 def test_record_rng_copy_continues_the_stream():
-    rng = _record_rngs(8, 3, 4)[0]
+    rng = _RecordRng(_record_words(8, 3, 4)[0])
     ref = np.random.default_rng([8, 3])
     rng.uniform(size=5)
     ref.uniform(size=5)
@@ -306,7 +306,112 @@ def test_record_index_must_fit_one_entropy_word():
     with pytest.raises(ValueError, match="2\\*\\*32"):
         _record_words(7, 2**32 - 1, 2**32 + 1)
     with pytest.raises(ValueError, match="seed"):
-        _record_rngs(-1, 0, 3)
+        _record_words(-1, 0, 3)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("seed", RECORD_SEEDS)
+def test_record_doubles_are_the_default_rng_stream(seed, k):
+    # 19_999 and 20_000 straddle generate_dataset's chunk edge, and
+    # 2**32 - 1 is the last index one entropy word holds
+    ranges = [(0, 3), (19_999, 20_001), (2**32 - 1, 2**32)]
+    words = np.concatenate([_record_words(seed, a, b) for a, b in ranges])
+    u = _record_doubles(words, k)
+    assert u.shape == (len(words), k) and u.dtype == np.float64
+    indices = [i for a, b in ranges for i in range(a, b)]
+    for row, i in zip(u, indices):
+        want = np.random.default_rng([seed, i]).random(k)
+        assert row.tobytes() == want.tobytes(), (seed, i, k)
+
+
+def test_record_doubles_of_one_record_and_of_none_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = _record_doubles(_record_words(1234, 2**32 - 1, 2**32), 3)
+        none = _record_doubles(_record_words(1234, 7, 7), 3)
+    want = np.random.default_rng([1234, 2**32 - 1]).random(3)
+    assert one.shape == (1, 3) and one[0].tobytes() == want.tobytes()
+    assert none.shape == (0, 3)
+
+
+def pairs_one_at_a_time(cfg, i, n):
+    """Record ``i``'s first ``n`` ``(y0, h)`` pairs from single-state
+    draws on one ``default_rng([seed, i])``."""
+    box = cfg.domain()
+    rng = np.random.default_rng([cfg.seed, i])
+    pairs = []
+    while len(pairs) < n:
+        x = rng.uniform(box.lower, box.upper)
+        if box.shell is None or (
+                box.shell[0] <= float(np.linalg.norm(x)) <= box.shell[1]):
+            h = math.exp(rng.uniform(math.log(cfg.h_min),
+                                     math.log(cfg.h_max)))
+            pairs.append((x, h))
+    return pairs
+
+
+# a shell that cuts the pendulum box [-2, 2]^2: some first candidates
+# lie in it and some do not
+PENDULUM_SHELL = TrainConfig(omega_lower=(-2.0, -2.0), omega_upper=(2.0, 2.0),
+                             omega_shell=(0.5, 2.5), n_records=60, seed=8)
+
+STREAM_CONFIGS = {
+    "rigid_body_shell": TrainConfig(
+        system="rigid_body", omega_lower=(-2.0,) * 3,
+        omega_upper=(2.0,) * 3, omega_shell=(0.98, 1.02),
+        h_min=0.5, h_max=2.5, n_records=40, seed=8),
+    "pendulum_box": TrainConfig(n_records=40, seed=8),
+    "pendulum_shell": PENDULUM_SHELL,
+}
+
+
+def first_candidate_in_shell(cfg, i):
+    box = cfg.domain()
+    x = np.random.default_rng([cfg.seed, i]).uniform(box.lower, box.upper)
+    return box.shell[0] <= float(np.linalg.norm(x)) <= box.shell[1]
+
+
+def test_shell_dataset_takes_both_branches_and_keeps_the_stream():
+    cfg = PENDULUM_SHELL
+    first_in = [first_candidate_in_shell(cfg, i)
+                for i in range(cfg.n_records)]
+    assert any(first_in) and not all(first_in)
+    ds = generate_dataset(cfg)
+    for i in range(len(ds)):
+        x, h, _after = one_at_a_time(cfg, i)
+        assert ds.y0[i].tobytes() == x.tobytes()
+        assert ds.h[i].tobytes() == np.float64(h).tobytes()
+    X = build_alt_training_data(replace(cfg, n_steps=3))[0]
+    assert X.tobytes() == ds.y0.tobytes()
+
+
+@pytest.mark.parametrize("name", list(STREAM_CONFIGS))
+def test_resampled_records_keep_the_stream(monkeypatch, name):
+    cfg = STREAM_CONFIGS[name]
+    fail = [0, 3, 17, 39]
+    calls = []
+
+    def failing_flow(field_, y0, h, rtol, atol):
+        out, ok, reached = adaptive_flow_batch(field_, y0, h, rtol, atol)
+        if not calls:  # the first call sees every record, in order
+            ok = ok.copy()
+            ok[fail] = False
+        calls.append(len(y0))
+        return out, ok, reached
+
+    monkeypatch.setattr(training, "adaptive_flow_batch", failing_flow)
+    ds = generate_dataset(cfg)
+    assert calls == [cfg.n_records, len(fail)]
+    assert ds.resampled == len(fail)
+    from modfield.systems import get_system
+    for i in range(len(ds)):
+        pairs = pairs_one_at_a_time(cfg, i, 2)
+        x, h = pairs[1] if i in fail else pairs[0]
+        assert ds.y0[i].tobytes() == x.tobytes(), (name, i)
+        assert ds.h[i].tobytes() == np.float64(h).tobytes(), (name, i)
+    y1, ok, _ = adaptive_flow_batch(get_system(cfg.system), ds.y0[fail],
+                                    ds.h[fail], cfg.tol, cfg.tol)
+    assert ok.all() and y1.tobytes() == ds.y1[fail].tobytes()
 
 
 def test_unreachable_shell_names_the_record():
