@@ -201,11 +201,17 @@ def _init_model(cfg):
                              cfg.n_terms, cfg.hidden, cfg.seed)
 
 
-def _fit(cfg, ds):
-    """A fresh model for ``cfg``, trained on its split of ``ds``; a
-    divergence names the record's index in ``ds``, its CSV data row."""
+def _fit(cfg, ds, data=None):
+    """A fresh model for ``cfg``, trained on its split of ``ds`` (read from
+    the file ``data``, if given); an empty training split is a usage error,
+    and a divergence names the record's index in ``ds``, its CSV data row."""
     train_set, test_set = training.split_dataset(ds, cfg.train_fraction,
                                                  cfg.seed)
+    if len(train_set) == 0:
+        source = f" in --data {data}" if data else ""
+        raise ValueError(f"no training records: {len(ds)} records{source} "
+                         f"at train_fraction {cfg.train_fraction} leave an "
+                         "empty training split")
     try:
         return training.train(_init_model(cfg), cfg.scheme, train_set,
                               test_set, cfg)
@@ -222,7 +228,7 @@ def cmd_train(args, cfg):
         ds = training.load_dataset(args.data)
     else:
         ds = training.generate_dataset(cfg, workers=_workers())
-    model, report = _fit(cfg, ds)
+    model, report = _fit(cfg, ds, args.data)
     rows = [[e + 1, *losses] for e, losses in enumerate(zip(
         report.train_losses, report.test_losses, report.seconds))]
     return [args.data] if args.data else [], {
@@ -232,6 +238,8 @@ def cmd_train(args, cfg):
 
 @_command("train-alt")
 def cmd_train_alt(args, cfg):
+    if cfg.n_records == 0:
+        raise ValueError("no training records: n_records is 0")
     model = _init_model(cfg)
     X, C, XR, R, _steps = training.build_alt_training_data(cfg)
     _nets, histories = training.alt_train(model.nets, (X, C), (XR, R), cfg,

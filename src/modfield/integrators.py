@@ -292,8 +292,8 @@ _MAX_STEPS = 200_000  # steps per call before unfinished records fail
 
 
 def _dopri5_plan():
-    """DOPRI5's nonzero ``a_ij`` as one vector, and for each stage ``i``
-    the ``(k, j)`` pairs that add ``a[k] * h * k_j`` to its input."""
+    """DOPRI5's nonzero ``a_ij`` as one list of floats, and for each stage
+    ``i`` the ``(k, j)`` pairs that add ``a[k] * h * k_j`` to its input."""
     a = _TABLEAUS["dopri5"].a
     coeffs, rows = [], []
     for i in range(a.shape[0]):
@@ -301,21 +301,23 @@ def _dopri5_plan():
         for j in range(i):
             if a[i, j] != 0.0:
                 rows[i].append((len(coeffs), j))
-                coeffs.append(a[i, j])
-    return np.array(coeffs), rows
+                coeffs.append(float(a[i, j]))
+    return coeffs, rows
 
 
 _DP_A, _DP_ROWS = _dopri5_plan()
-_DP_AF = _DP_A.tolist()
 _DP_B = _TABLEAUS["dopri5"].b.tolist()
 _DP_E = (_TABLEAUS["dopri5"].b - _TABLEAUS["dopri5"].b_emb).tolist()
 
 
-def _rms(x, sc):
-    """Row RMS of ``x / sc``, summed and divided as ``np.mean`` does."""
-    q = x / sc
-    q *= q
-    return np.sqrt(np.add.reduce(q, axis=1) / x.shape[1])
+def _mean_sq(x, sc):
+    """Mean of ``(x / sc)**2`` over the components, the squares added left
+    to right: floats for one row, or ``(n,)`` component rows for many."""
+    s = 0.0
+    for u, w in zip(x, sc):
+        q = u / w
+        s = s + q * q
+    return s / len(x)
 
 
 def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
@@ -342,17 +344,21 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     Two loops keep it, selected by row count.  A one-row call (every
     reference-trajectory segment) runs :func:`_flow_one` on Python floats;
     a wider call (dataset generation, per-term targets) runs
-    :func:`_flow_rows` on arrays, one ``h a_ij`` array per step and norms
-    reduced as ``np.mean`` reduces.  The float loop gets the array loop's
-    bits by these rules: powers go through ``np.power`` (float ``**`` and
-    ``math.pow`` round differently from numpy's array power); stage sums
-    start from ``0.0`` and add the weighted stages in stage order, zero
-    weights included, as ``einsum`` does; norms add the squared components
-    left to right; and minima and maxima propagate NaN as ``np.minimum``
-    and ``np.maximum`` do.  The one exception: once a wide call of a
-    one-component system narrows to one row, its ``(7, 1, 1)`` stage stack
-    sends ``einsum`` down its dot-product path, which adds the stages in
-    SIMD lanes, so that row's last bits differ from its one-row run.
+    :func:`_flow_rows` on arrays held component-major: the states are ``d``
+    contiguous rows of ``n`` records and the stage stack is ``(7, d, n)``.
+    Both loops evaluate a :class:`~modfield.systems.VectorFieldSpec`
+    through its ``components``, on floats or on the component rows; any
+    other field is called on C-contiguous ``(n, d)`` states with one step
+    per row.  Both follow these rules: powers go through ``np.power``
+    (float ``**`` and ``math.pow`` round differently from numpy's array
+    power); stage sums start from ``0.0`` and add the weighted stages in
+    stage order, zero weights included, as ``einsum`` does; norms add the
+    squared components left to right; and minima and maxima propagate NaN
+    as ``np.minimum`` and ``np.maximum`` do.  The one exception: once a
+    wide call of a one-component system narrows to one row, its
+    ``(7, 1, 1)`` stage stack sends ``einsum`` down its dot-product path,
+    which adds the stages in SIMD lanes, so that row's last bits differ
+    from its one-row run.
 
     The field is called on arrays it must not modify.  Two known speed-ups
     are left out on purpose: reusing the last stage as the next step's
@@ -381,7 +387,8 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
 
 
 def _flow_rows(field, y0, t_end, atol, rtol):
-    """The array loop of :func:`adaptive_flow_batch`: all rows at once."""
+    """The array loop of :func:`adaptive_flow_batch`: all rows at once,
+    held component-major as ``(d, n)`` contiguous rows."""
     tab = _TABLEAUS["dopri5"]
     B, E = tab.b, tab.b - tab.b_emb
     n, d = y0.shape
@@ -394,21 +401,35 @@ def _flow_rows(field, y0, t_end, atol, rtol):
     if idx.size == 0:
         return out_y, out_ok, out_reached
 
-    y = y0[idx]
+    # f(y, h, out) writes the field at the component rows y into out
+    if isinstance(field, VectorFieldSpec):
+        comps = field.components
+
+        def f(y, h, out):
+            for row, c in zip(out, comps(y)):
+                row[...] = c
+    else:
+        def f(y, h, out):
+            out[...] = np.asarray(field(np.ascontiguousarray(y.T), h)).T
+
+    y_start = y0[idx]
+    y = np.ascontiguousarray(y_start.T)
     tend = t_end[idx]
     t = np.zeros(idx.size)
     h_floor = 1e-13 * np.maximum(1.0, tend)
 
-    # starting step heuristic (one Euler probe)
+    # starting step heuristic (one Euler probe); the first evaluation is the
+    # array call, so a state the field rejects raises as in the float loop
     sc = atol + rtol * np.abs(y)
-    f0 = np.asarray(field(y, np.zeros(idx.size)), dtype=float)
-    d0 = _rms(y, sc)
-    d1 = _rms(f0, sc)
+    f0 = np.asarray(field(y_start, np.zeros(idx.size)), dtype=float).T
+    d0 = np.sqrt(_mean_sq(y, sc))
+    d1 = np.sqrt(_mean_sq(f0, sc))
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
                   0.01 * d0 / np.maximum(d1, 1e-300))
     h0 = np.minimum(h0, tend)
-    f1 = np.asarray(field(y + h0[:, None] * f0, h0), dtype=float)
-    d2 = _rms(f1 - f0, sc) / h0
+    f1 = np.empty_like(y)
+    f(y + h0 * f0, h0, f1)
+    d2 = np.sqrt(_mean_sq(f1 - f0, sc)) / h0
     dmax = np.maximum(d1, d2)
     h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / dmax) ** 0.2)
@@ -422,25 +443,23 @@ def _flow_rows(field, y0, t_end, atol, rtol):
         rem = tend - t
         final = h >= rem
         h_try = np.where(final, rem, h)
-        hc = h_try[:, None]
-        # ha[k] is a_ij h per row as a contiguous (n, 1) column, like hc
-        ha = np.multiply.outer(_DP_A, h_try)[..., None]
 
-        ks = np.empty((tab.stages, y.shape[0], d))
-        ks[0] = field(y, h_try)
+        # a_ij h is formed at each use: a (20, n) table of them costs more
+        ks = np.empty((tab.stages, d, idx.size))
+        f(y, h_try, ks[0])
         for i in range(1, tab.stages):
             (k, j), *rest = _DP_ROWS[i]
-            yi = y + ha[k] * ks[j]
+            yi = y + (_DP_A[k] * h_try) * ks[j]
             for k, j in rest:
-                yi += ha[k] * ks[j]
-            ks[i] = field(yi, h_try)
-        y_new = y + hc * np.einsum("s,snd->nd", B, ks)
-        err_vec = hc * np.einsum("s,snd->nd", E, ks)
+                yi += (_DP_A[k] * h_try) * ks[j]
+            f(yi, h_try, ks[i])
+        y_new = y + h_try * np.einsum("s,sdn->dn", B, ks)
+        err_vec = h_try * np.einsum("s,sdn->dn", E, ks)
 
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            err = _rms(err_vec, sc)
-            good = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
+            err = np.sqrt(_mean_sq(err_vec, sc))
+            good = np.isfinite(err) & np.isfinite(y_new).all(axis=0)
             err = np.where(good, np.maximum(err, 1e-300), np.inf)
             accept = err <= 1.0
             fac = _SAFETY * err ** (-_EXPO)
@@ -449,7 +468,7 @@ def _flow_rows(field, y0, t_end, atol, rtol):
             shrink = np.minimum(np.maximum(fac, _FAC_MIN), 1.0)
 
         t = np.where(accept, t + h_try, t)
-        y = np.where(accept[:, None], y_new, y)
+        y = np.where(accept, y_new, y)
         facold = np.where(accept, np.maximum(err, 1e-4), facold)
         h = h_try * np.where(accept, grow, shrink)
 
@@ -461,15 +480,16 @@ def _flow_rows(field, y0, t_end, atol, rtol):
             failed = ~done
         out = done | failed
         if out.any():
-            out_y[idx] = y
+            out_y[idx] = y.T
             out_reached[idx] = t
             out_ok[idx[failed]] = False
             keep = ~out
             if not keep.any():
                 return out_y, out_ok, out_reached
-            idx, y, t, tend, h, facold, h_floor = (
-                idx[keep], y[keep], t[keep], tend[keep],
-                h[keep], facold[keep], h_floor[keep],
+            y = y[:, keep]
+            idx, t, tend, h, facold, h_floor = (
+                idx[keep], t[keep], tend[keep], h[keep], facold[keep],
+                h_floor[keep],
             )
 
 
@@ -481,15 +501,6 @@ def _fmax(a, b):
 def _fmin(a, b):
     """``np.minimum`` on two floats: NaN if either is NaN."""
     return a if a <= b or a != a else b
-
-
-def _rms_one(x, sc):
-    """:func:`_rms` of one row given as floats."""
-    s = 0.0
-    for u, w in zip(x, sc):
-        q = u / w
-        s += q * q
-    return math.sqrt(s / len(x))
 
 
 def _dot(w, xs):
@@ -543,8 +554,8 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
     # starting step heuristic (one Euler probe)
     sc = [atol + rtol * abs(u) for u in y]
     f0 = on_rows(y, 0.0)
-    d0 = _rms_one(y, sc)
-    d1 = _rms_one(f0, sc)
+    d0 = math.sqrt(_mean_sq(y, sc))
+    d1 = math.sqrt(_mean_sq(f0, sc))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -552,8 +563,8 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
     h0 = _fmin(h0, tend)
     f1 = f([u + h0 * v for u, v in zip(y, f0)], h0)
     # an overflowing f0 makes h0 zero: divide as numpy does, not raise
-    d2 = float(np.float64(_rms_one([a - b for a, b in zip(f1, f0)], sc))
-               / h0)
+    d2 = math.sqrt(_mean_sq([a - b for a, b in zip(f1, f0)], sc))
+    d2 = float(np.float64(d2) / h0)
     dmax = _fmax(d1, d2)
     if dmax <= 1e-15:
         h1 = _fmax(1e-6, h0 * 1e-3)
@@ -568,7 +579,7 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
         rem = tend - t
         final = h >= rem
         h_try = rem if final else h
-        ha = [a * h_try for a in _DP_AF]
+        ha = [a * h_try for a in _DP_A]
 
         ks = [f(y, h_try)]
         for row in _DP_ROWS[1:]:
@@ -581,7 +592,7 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
         err_vec = [h_try * _dot(_DP_E, c) for c in cols]
 
         sc = [atol + rtol * _fmax(abs(u), abs(v)) for u, v in zip(y, y_new)]
-        err = _rms_one(err_vec, sc)
+        err = math.sqrt(_mean_sq(err_vec, sc))
         if math.isfinite(err) and all(map(math.isfinite, y_new)):
             err = _fmax(err, 1e-300)
         else:

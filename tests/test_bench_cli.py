@@ -661,6 +661,40 @@ def test_usage_error_leaves_no_output_directory(
     assert not out.exists()
 
 
+# floor(0.8 * 1) = 0: one record leaves the standard route nothing to
+# train on, and zero base states leave the per-term route nothing to fit
+EMPTY_SPLITS = {
+    "train": ([], 1, "1 records at train_fraction 0.8"),
+    "train --data": (["--data", "one.csv"], 40,
+                     "1 records in --data one.csv at train_fraction 0.8"),
+    "param-study": (["--widths", "4", "--depths", "1", "--data-sizes", "1",
+                     "--grid-n", "5"], 40, "1 records at train_fraction 0.8"),
+    "train-alt": ([], 0, "n_records is 0"),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_SPLITS)
+def test_empty_training_split_is_a_usage_error(tmp_path, capsys,
+                                               monkeypatch, case):
+    extra, n_records, message = EMPTY_SPLITS[case]
+    monkeypatch.chdir(tmp_path)
+    one = tmp_path / "one.cfg"
+    save_config(micro_cfg(n_records=1), one)
+    assert main(["generate", "--config", str(one), "--out", "gen"]) == 0
+    (tmp_path / "gen" / "dataset.csv").rename(tmp_path / "one.csv")
+    cfg = tmp_path / "empty.cfg"
+    save_config(micro_cfg(n_records=n_records), cfg)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    rc = main([case.split()[0], "--config", str(cfg), "--out", str(out),
+               *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no training records: ")
+    assert message in err
+    assert not out.exists()
+
+
 # the per-term route fits Euler defects, so it refuses any other scheme
 @pytest.mark.parametrize("scheme", ["rk2", "rk2_heun", "midpoint"])
 def test_per_term_route_refuses_a_non_euler_scheme(tmp_path, capsys, scheme):

@@ -156,6 +156,49 @@ def test_adaptive_flow_batch_matches_scalar(pendulum, rigid_body, rng):
                 assert reached[i].tobytes() == reached1[0].tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 17])
+@pytest.mark.parametrize("kind", ["plain", "rigid_body", "truncated"])
+def test_wide_flow_contract_for_array_fields(pendulum, rigid_body, kind, n):
+    # the array loop keeps its states as component rows; a field without a
+    # VectorFieldSpec's components must still see C-contiguous (n, d) float
+    # states and one step per row, the caller's arrays stay as they were,
+    # and every row keeps its one-row bits while the others finish on other
+    # steps or fail (row 1 starts at NaN)
+    calls = []
+
+    def recorded(fn):
+        def field(y, h):
+            calls.append((y.dtype == np.float64, y.ndim, y.shape[-1],
+                          y.flags.c_contiguous, np.shape(h) == y.shape[:1]))
+            return fn(y, h)
+        return field
+
+    if kind == "rigid_body":
+        field, d = rigid_body, 3
+    elif kind == "plain":
+        field, d = recorded(lambda y, h: pendulum(y)), 2
+    else:
+        field, d = recorded(truncated_field(pendulum, "euler", 2)), 2
+    k = np.arange(n)
+    y0 = np.column_stack([-1.0 + 2.0 * ((13 * k + 5 * i) % 89) / 88.0
+                          for i in range(1, d + 1)])
+    y0[1, 0] = np.nan
+    t_end = 0.2 + 0.4 * k
+    y0_bits, t_bits = y0.tobytes(), t_end.tobytes()
+    with np.errstate(invalid="ignore"):
+        y, ok, reached = adaptive_flow_batch(field, y0, t_end, 1e-10, 1e-10)
+        assert y0.tobytes() == y0_bits and t_end.tobytes() == t_bits
+        assert ok.tolist() == [i != 1 for i in range(n)]
+        for i in range(n):
+            y1, ok1, reached1 = adaptive_flow_batch(
+                field, y0[i:i + 1], t_end[i:i + 1], 1e-10, 1e-10)
+            assert ok1[0] == ok[i]
+            assert y1.tobytes() == y[i:i + 1].tobytes()
+            assert reached1.tobytes() == reached[i:i + 1].tobytes()
+    if kind != "rigid_body":
+        assert calls and set(calls) == {(True, 2, d, True, True)}
+
+
 def test_adaptive_flow_reports_failure():
     bad = VectorFieldSpec(name="blowup", dim=1,
                           component_fn=lambda c: (c[0] * c[0],))
@@ -213,6 +256,10 @@ def test_one_row_flow_rejects_a_state_of_the_wrong_size(pendulum):
         reference_trajectory(pendulum, y0, [0.5])
     with pytest.raises(ValueError, match="last dimension 3, expected 2"):
         dopri5_integrate(pendulum, y0, 0.5, 1e-10, 1e-10)
+    # the wide loop's first evaluation is the array call too
+    with pytest.raises(ValueError, match="last dimension 3, expected 2"):
+        adaptive_flow_batch(pendulum, np.array([y0, y0]),
+                            np.array([0.5, 1.0]), 1e-10, 1e-10)
 
 
 def test_dopri5_integrate_accuracy(pendulum):
