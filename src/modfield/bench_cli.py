@@ -400,6 +400,10 @@ def cmd_param_study(args, cfg):
 def cmd_compare_alt(args, cfg):
     model_std = neural.load_model(args.model_std)
     model_alt = neural.load_model(args.model_alt)
+    if model_std.base.name != model_alt.base.name:
+        raise ValueError(
+            f"models trained for different systems: "
+            f"{model_std.base.name!r} vs {model_alt.base.name!r}")
     if model_std.scheme != model_alt.scheme:
         raise ValueError(
             f"models trained for different schemes: {model_std.scheme!r} "

@@ -332,8 +332,9 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     (or is not a number), or that are unfinished after ``_MAX_STEPS``
     steps, are flagged ``ok=False`` with the last reached time; no
     exception is raised here so that callers may resample.
-    Tolerances must be finite with ``atol > 0`` and ``rtol >= 0``, and
-    every end time finite (``ValueError`` otherwise).
+    ``y0`` is one state or ``(n, d)`` states, tolerances must be finite
+    with ``atol > 0`` and ``rtol >= 0``, and every end time finite
+    (``ValueError`` otherwise).
 
     With ``collect=True`` (single record only) additionally returns the
     accepted ``(times, states)`` history.
@@ -342,14 +343,17 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     bit is pinned by the tests, so a rewrite may change how the operations
     are issued but not which floating-point operations a record sees.
     Two loops keep it, selected by row count.  A one-row call (every
-    reference-trajectory segment) runs :func:`_flow_one` on Python floats;
-    a wider call (dataset generation, per-term targets) runs
-    :func:`_flow_rows` on arrays held component-major: the states are ``d``
-    contiguous rows of ``n`` records and the stage stack is ``(7, d, n)``.
-    Both loops evaluate a :class:`~modfield.systems.VectorFieldSpec`
-    through its ``components``, on floats or on the component rows; any
-    other field is called on C-contiguous ``(n, d)`` states with one step
-    per row.  Both follow these rules: powers go through ``np.power``
+    reference-trajectory segment) runs :func:`_flow_one` on Python floats,
+    its seven stages written out for the fixed tableau; a wider call
+    (dataset generation, per-term targets) runs :func:`_flow_rows` on
+    arrays held component-major: the states are ``d`` contiguous rows of
+    ``n`` records and the stage stack is ``(7, d, n)``.  Both loops
+    evaluate a :class:`~modfield.systems.VectorFieldSpec` through its
+    ``components``, on floats or on the component rows; the one-row loop
+    does so from its start-step probe on, after checking the state's size
+    as the array call does, and the wide loop's probe is the array call.
+    Any other field is called on C-contiguous ``(n, d)`` states with one
+    step per row.  Both follow these rules: powers go through ``np.power``
     (float ``**`` and ``math.pow`` round differently from numpy's array
     power); stage sums start from ``0.0`` and add the weighted stages in
     stage order, zero weights included, as ``einsum`` does; norms add the
@@ -372,6 +376,9 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
         raise ValueError(f"need finite atol > 0 and rtol >= 0, got "
                          f"atol={atol!r}, rtol={rtol!r}")
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
+    if y0.ndim != 2:
+        raise ValueError(
+            f"y0 must be one state or (n, d) states, got shape {y0.shape}")
     t_end = np.asarray(t_end, dtype=float)
     n = y0.shape[0]
     if t_end.shape != (n,):
@@ -419,7 +426,7 @@ def _flow_rows(field, y0, t_end, atol, rtol):
     h_floor = 1e-13 * np.maximum(1.0, tend)
 
     # starting step heuristic (one Euler probe); the first evaluation is the
-    # array call, so a state the field rejects raises as in the float loop
+    # array call, so a state of the wrong size raises with its message
     sc = atol + rtol * np.abs(y)
     f0 = np.asarray(field(y_start, np.zeros(idx.size)), dtype=float).T
     d0 = np.sqrt(_mean_sq(y, sc))
@@ -503,39 +510,34 @@ def _fmin(a, b):
     return a if a <= b or a != a else b
 
 
-def _dot(w, xs):
-    """``sum_s w_s xs_s`` accumulated from 0.0 in order, as ``einsum`` does
-    (not ``sum``, which compensates from Python 3.12 on)."""
-    s = 0.0
-    for a, x in zip(w, xs):
-        s += a * x
-    return s
-
-
 def _flow_one(field, y0, t_end, atol, rtol, collect):
     """The float loop of :func:`adaptive_flow_batch`: one row, the same
     arithmetic on Python floats.
 
-    A :class:`~modfield.systems.VectorFieldSpec` is evaluated through its
-    ``components`` on floats; its array call runs the same component code.
-    Any other field goes through its array call on a one-row array, since
-    learned and truncated fields round their component form differently
-    (their step powers are float ``**``).  The first evaluation always uses
-    the array call, so a state the field rejects raises as in the array
-    loop.
+    The seven stages are written out for the fixed tableau, as in Hairer's
+    ``dopri5.f``: each stage input is ``u + c0*x0 + c1*x1 + ...`` with
+    ``c = a_ij h``, added left to right in stage order and skipping the
+    zero ``a_61`` as :data:`_DP_ROWS` does; the solution and error sums are
+    ``0.0 + b0*x0 + ... + b6*x6`` with the zero weights kept, so ``0*inf``
+    stays NaN.  A :class:`~modfield.systems.VectorFieldSpec` is evaluated
+    through its ``components`` on floats, the start-step probe included,
+    after the dimension check its array call makes; its array call runs the
+    same component code.  Any other field goes through its array call on a
+    one-row array, since learned and truncated fields round their
+    component form differently (their step powers are float ``**``).
     """
-    def on_rows(y, h):
-        out = field(np.array([y]), np.array([h]))
-        return np.asarray(out, dtype=float)[0].tolist()
-
     if isinstance(field, VectorFieldSpec):
         comps = field.components
 
         def f(y, h):
             return [float(c) for c in comps(y)]
     else:
-        f = on_rows
+        def f(y, h):
+            out = field(np.array([y]), np.array([h]))
+            return np.asarray(out, dtype=float)[0].tolist()
 
+    b0, b1, b2, b3, b4, b5, b6 = _DP_B
+    e0, e1, e2, e3, e4, e5, e6 = _DP_E
     tend = float(t_end[0])
     y = y0[0].tolist()
     hist_t, hist_y = [0.0], [y]
@@ -552,8 +554,11 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
     h_floor = 1e-13 * max(1.0, tend)
 
     # starting step heuristic (one Euler probe)
+    if isinstance(field, VectorFieldSpec) and len(y) != field.dim:
+        raise ValueError(
+            f"state has last dimension {len(y)}, expected {field.dim}")
     sc = [atol + rtol * abs(u) for u in y]
-    f0 = on_rows(y, 0.0)
+    f0 = f(y, 0.0)
     d0 = math.sqrt(_mean_sq(y, sc))
     d1 = math.sqrt(_mean_sq(f0, sc))
     if d0 < 1e-5 or d1 < 1e-5:
@@ -579,17 +584,32 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
         rem = tend - t
         final = h >= rem
         h_try = rem if final else h
-        ha = [a * h_try for a in _DP_A]
+        (c10, c20, c21, c30, c31, c32, c40, c41, c42, c43, c50, c51, c52,
+         c53, c54, c60, c62, c63, c64, c65) = [a * h_try for a in _DP_A]
 
-        ks = [f(y, h_try)]
-        for row in _DP_ROWS[1:]:
-            yi = y
-            for k, j in row:
-                yi = [u + ha[k] * v for u, v in zip(yi, ks[j])]
-            ks.append(f(yi, h_try))
-        cols = list(zip(*ks))
-        y_new = [u + h_try * _dot(_DP_B, c) for u, c in zip(y, cols)]
-        err_vec = [h_try * _dot(_DP_E, c) for c in cols]
+        k0 = f(y, h_try)
+        k1 = f([u + c10 * x0 for u, x0 in zip(y, k0)], h_try)
+        k2 = f([u + c20 * x0 + c21 * x1
+                for u, x0, x1 in zip(y, k0, k1)], h_try)
+        k3 = f([u + c30 * x0 + c31 * x1 + c32 * x2
+                for u, x0, x1, x2 in zip(y, k0, k1, k2)], h_try)
+        k4 = f([u + c40 * x0 + c41 * x1 + c42 * x2 + c43 * x3
+                for u, x0, x1, x2, x3 in zip(y, k0, k1, k2, k3)], h_try)
+        k5 = f([u + c50 * x0 + c51 * x1 + c52 * x2 + c53 * x3 + c54 * x4
+                for u, x0, x1, x2, x3, x4 in zip(y, k0, k1, k2, k3, k4)],
+               h_try)
+        k6 = f([u + c60 * x0 + c62 * x2 + c63 * x3 + c64 * x4 + c65 * x5
+                for u, x0, x2, x3, x4, x5 in zip(y, k0, k2, k3, k4, k5)],
+               h_try)
+        y_new, err_vec = [], []
+        for u, x0, x1, x2, x3, x4, x5, x6 in zip(y, k0, k1, k2, k3, k4, k5,
+                                                 k6):
+            y_new.append(u + h_try * (0.0 + b0 * x0 + b1 * x1 + b2 * x2
+                                      + b3 * x3 + b4 * x4 + b5 * x5
+                                      + b6 * x6))
+            err_vec.append(h_try * (0.0 + e0 * x0 + e1 * x1 + e2 * x2
+                                    + e3 * x3 + e4 * x4 + e5 * x5
+                                    + e6 * x6))
 
         sc = [atol + rtol * _fmax(abs(u), abs(v)) for u, v in zip(y, y_new)]
         err = math.sqrt(_mean_sq(err_vec, sc))
@@ -624,7 +644,8 @@ def dopri5_integrate(field, y0, t_end, atol, rtol):
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
-        raise ValueError("y0 must be a 1-D state vector")
+        raise ValueError(
+            f"y0 must be a 1-D state vector, got shape {y0.shape}")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     _, ok, reached, (ts, ys) = adaptive_flow_batch(

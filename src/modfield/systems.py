@@ -185,6 +185,8 @@ def reference_trajectory(field, y0, times, tol=1e-12):
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing and start >= 0")
     y = np.asarray(y0, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y0 must be one 1-D state, got shape {y.shape}")
     out = np.empty((times.size, y.size))
     t_prev = 0.0
     for i, t in enumerate(times):

@@ -336,6 +336,21 @@ def test_compare_alt_scheme_mismatch(tmp_path, capsys):
     assert "different schemes" in capsys.readouterr().err
 
 
+def test_compare_alt_system_mismatch(tmp_path, capsys):
+    pa = tmp_path / "pendulum.json"
+    pb = tmp_path / "rigid_body.json"
+    save_model(init_model(get_system("pendulum"), "euler", 1, 2, (6,), 0), pa)
+    save_model(init_model(get_system("rigid_body"), "euler", 1, 2, (6,), 0),
+               pb)
+    out = tmp_path / "cmp"
+    rc = main(["compare-alt", "--model-std", str(pa), "--model-alt", str(pb),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "different systems: 'pendulum' vs 'rigid_body'" in err
+    assert not out.exists()
+
+
 def test_missing_model_is_a_usage_error(tmp_path, capsys):
     rc = main(["convergence", "--model", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

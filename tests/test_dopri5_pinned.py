@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from modfield.integrators import adaptive_flow_batch, dopri5_integrate
+from modfield.modified_field import truncated_field
 from modfield.systems import VectorFieldSpec, get_system
 
 
@@ -138,3 +139,52 @@ def test_dopri5_integrate_history_bits_are_pinned(system):
     y0 = _states(system, 1)[0]
     traj = dopri5_integrate(get_system(system), y0, 3.0, 1e-11, 1e-11)
     assert _digest(traj.times, traj.states) == _HISTORY[system]
+
+
+def test_one_row_failure_bits_are_pinned():
+    # the blowup's failing record alone (y' = y^2 from 2): the one-row loop
+    # up to its step-size underflow near the pole at t = 0.5
+    blowup = VectorFieldSpec(name="blowup", dim=1,
+                             component_fn=lambda c: (c[0] * c[0],))
+    y, ok, reached = adaptive_flow_batch(
+        blowup, np.array([[2.0]]), np.array([1.0]), 1e-10, 1e-10)
+    assert not ok[0] and 0.49 < reached[0] < 0.5
+    assert _digest(y, ok, reached) == (
+        "ffdde5d03afb7bf9e099c3602b4f31cfd8aa26d7383acba43c68ebf4fdcc351e")
+
+
+def _array_field(system, kind):
+    """A field the one-row loop evaluates through its array call."""
+    base = get_system(system)
+    if kind == "plain":
+        return lambda y, h: base(y)
+    return truncated_field(base, "euler", 2)
+
+
+_ARRAY_CALL = {
+    ("pendulum", "plain"):
+        "a3f1114f82f8ca2264ff0c33c867e642933c0aaafb670daef9917f518bccc8d2",
+    ("pendulum", "truncated"):
+        "c420a77dcf24d336351b0e605531c82f533c0a7638ef8f7b99ca4eb8de9adaf2",
+    ("rigid_body", "plain"):
+        "3d66e6f247020dcd288641a0976c64ac822c4611f88e0a9b999ba660174f3278",
+    ("rigid_body", "truncated"):
+        "0ec95245f4037bd85c945bd2bf472e12ad045884c6a17b91340de6d4f202cf9b",
+}
+
+
+@pytest.mark.parametrize(
+    "system, kind",
+    [pytest.param(*key, marks=[needs_recorded_sin] if key[0] == "pendulum"
+                  else []) for key in _ARRAY_CALL])
+def test_one_row_array_call_bits_are_pinned(system, kind):
+    # fields without a VectorFieldSpec's components: every stage goes
+    # through the array call on a one-row array
+    field = _array_field(system, kind)
+    y0 = _states(system, 1)
+    outs = []
+    for tol in (1e-6, 1e-11):
+        outs.extend(adaptive_flow_batch(field, y0, np.full(1, 1.5), tol, tol))
+    traj = dopri5_integrate(field, y0[0], 1.0, 1e-9, 1e-9)
+    assert _digest(*outs, traj.times, traj.states) == _ARRAY_CALL[
+        (system, kind)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,10 +257,25 @@ def test_one_row_flow_rejects_a_state_of_the_wrong_size(pendulum):
         reference_trajectory(pendulum, y0, [0.5])
     with pytest.raises(ValueError, match="last dimension 3, expected 2"):
         dopri5_integrate(pendulum, y0, 0.5, 1e-10, 1e-10)
-    # the wide loop's first evaluation is the array call too
+    # the wide loop's first evaluation is the array call
     with pytest.raises(ValueError, match="last dimension 3, expected 2"):
         adaptive_flow_batch(pendulum, np.array([y0, y0]),
                             np.array([0.5, 1.0]), 1e-10, 1e-10)
+
+
+def test_malformed_states_are_rejected(pendulum):
+    # more than one row where one state is meant, or a third dimension
+    with pytest.raises(ValueError, match=r"got shape \(1, 2\)"):
+        reference_trajectory(pendulum, np.array([[1.5, 0.0]]), [0.1, 0.2])
+    with pytest.raises(ValueError, match=r"got shape \(\)"):
+        reference_trajectory(pendulum, 1.5, [0.1])
+    with pytest.raises(ValueError, match=r"got shape \(1, 2\)"):
+        dopri5_integrate(pendulum, np.array([[1.5, 0.0]]), 0.5, 1e-10, 1e-10)
+    for shape in ((2, 1, 2), (1, 1, 2)):
+        with pytest.raises(ValueError,
+                           match=f"got shape {re.escape(str(shape))}"):
+            adaptive_flow_batch(pendulum, np.zeros(shape),
+                                np.full(shape[0], 0.5), 1e-10, 1e-10)
 
 
 def test_dopri5_integrate_accuracy(pendulum):
