@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jets
 from .errors import FixedPointError, IntegrationFailureError, StageOverflowError
-from .systems import VectorFieldSpec
+from .systems import VectorFieldSpec, check_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,29 +146,30 @@ def rk_stage_loop(tab, field, y, h, checked=False):
     (``_tape.backward``) skips the same ones.  With ``checked`` a
     non-finite stage raises :class:`StageOverflowError` naming the stage.
     """
-    hc = np.asarray(h, dtype=float)
-    if hc.ndim:
-        hc = hc[..., None]
+    hc = h  # a float keeps the products h*a_ij and h*b_i floats
+    if not isinstance(h, float):
+        hc = np.asarray(h, dtype=float)
+        if hc.ndim:
+            hc = hc[..., None]
+    a, b = tab.a.tolist(), tab.b.tolist()
     ks = []
-    for i in range(tab.stages):
+    for i, row in enumerate(a):
         yi = y
-        for j in range(i):
-            aij = tab.a[i, j]
+        for aij, kj in zip(row, ks):
             if aij != 0.0:
-                yi = yi + (hc * aij) * ks[j]
+                yi = yi + (hc * aij) * kj
         ki = field(yi, h)
         if checked:
             ki = np.asarray(ki, dtype=float)
-            if not np.all(np.isfinite(ki)):
+            if not np.isfinite(ki).all():
                 raise StageOverflowError(
                     f"non-finite field value in stage {i} of {tab.name}",
                     stage=i)
         ks.append(ki)
     out = y
-    for i in range(tab.stages):
-        bi = tab.b[i]
+    for bi, ki in zip(b, ks):
         if bi != 0.0:
-            out = out + (hc * bi) * ks[i]
+            out = out + (hc * bi) * ki
     return out
 
 
@@ -201,13 +202,13 @@ def implicit_midpoint_step(field, y, h):
     residual = np.inf
     for it in range(1, _FP_ITERS + 1):
         z_new = y + h * np.asarray(field(0.5 * (y + z), h), dtype=float)
-        if not np.all(np.isfinite(z_new)):
+        if not np.isfinite(z_new).all():
             raise FixedPointError(
                 f"fixed point diverged after {it} iterations",
                 residual=float("inf"),
                 iterations=it,
             )
-        residual = float(np.max(np.abs(z_new - z)))
+        residual = float(np.abs(z_new - z).max())
         z = z_new
         if residual <= _FP_TOL:
             return z
@@ -258,8 +259,8 @@ def integrate(stepper, field, y0, h, n_steps):
     ``times[n] = n*h``.  Stepper errors are re-raised with the failing
     step index attached.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     y = np.asarray(y0, dtype=float)
@@ -349,9 +350,10 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     arrays held component-major: the states are ``d`` contiguous rows of
     ``n`` records and the stage stack is ``(7, d, n)``.  Both loops
     evaluate a :class:`~modfield.systems.VectorFieldSpec` through its
-    ``components``, on floats or on the component rows; the one-row loop
-    does so from its start-step probe on, after checking the state's size
-    as the array call does, and the wide loop's probe is the array call.
+    ``components``, on floats or on the component rows, after checking the
+    state's size as the array call does (also when no record steps); the
+    one-row loop does so from its start-step probe on, and the wide loop's
+    probe is the array call.
     Any other field is called on C-contiguous ``(n, d)`` states with one
     step per row.  Both follow these rules: powers go through ``np.power``
     (float ``**`` and ``math.pow`` round differently from numpy's array
@@ -404,6 +406,8 @@ def _flow_rows(field, y0, t_end, atol, rtol):
     out_ok = np.ones(n, dtype=bool)
     out_reached = np.where(t_end > 0, 0.0, t_end)
 
+    if isinstance(field, VectorFieldSpec):
+        check_size(d, field.dim)
     idx = np.flatnonzero(t_end > 0)
     if idx.size == 0:
         return out_y, out_ok, out_reached
@@ -548,15 +552,14 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
             return out + ((np.array(hist_t), np.array(hist_y)),)
         return out
 
+    if isinstance(field, VectorFieldSpec):
+        check_size(len(y), field.dim)
     if not tend > 0:
         return result(y, True, tend)
     t = 0.0
     h_floor = 1e-13 * max(1.0, tend)
 
     # starting step heuristic (one Euler probe)
-    if isinstance(field, VectorFieldSpec) and len(y) != field.dim:
-        raise ValueError(
-            f"state has last dimension {len(y)}, expected {field.dim}")
     sc = [atol + rtol * abs(u) for u in y]
     f0 = f(y, 0.0)
     d0 = math.sqrt(_mean_sq(y, sc))

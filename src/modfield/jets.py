@@ -40,13 +40,14 @@ class Jet:
         u, du = self.coeffs
         if isinstance(other, Jet):
             v, dv = other.coeffs
-            return Jet([u + v, du + dv])
-        return Jet([u + other, du])
+            return _jet(u + v, du + dv)
+        return _jet(u + other, du)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-c for c in self.coeffs])
+        u, du = self.coeffs
+        return _jet(-u, -du)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -1.0 * other)
@@ -58,8 +59,8 @@ class Jet:
         u, du = self.coeffs
         if isinstance(other, Jet):
             v, dv = other.coeffs
-            return Jet([u * v, du * v + u * dv])
-        return Jet([u * other, du * other])
+            return _jet(u * v, du * v + u * dv)
+        return _jet(u * other, du * other)
 
     __rmul__ = __mul__
 
@@ -67,14 +68,21 @@ class Jet:
 
     def sin(self):
         u, du = self.coeffs
-        return Jet([_m.sin(u), du * _m.cos(u)])
+        return _jet(_m.sin(u), du * _m.cos(u))
 
     def cos(self):
         u, du = self.coeffs
-        return Jet([_m.cos(u), -(du * _m.sin(u))])
+        return _jet(_m.cos(u), -(du * _m.sin(u)))
 
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
+
+
+def _jet(u, du):
+    """The jet ``(u, du)``, unchecked: jet arithmetic makes it well formed."""
+    jet = object.__new__(Jet)
+    jet.coeffs = [u, du]
+    return jet
 
 
 def dd_components(g, comps, v_comps, h=None):
@@ -88,7 +96,7 @@ def dd_components(g, comps, v_comps, h=None):
     ``dg(y) . v`` is read off as the order-1 Taylor coefficient of
     ``t -> g(y + t v)``.
     """
-    seeds = tuple(Jet([c, v]) for c, v in zip(comps, v_comps))
+    seeds = tuple([_jet(c, v) for c, v in zip(comps, v_comps)])
     out = g.components(seeds, h) if hasattr(g, "components") else g(seeds)
     # a component that is no jet did not depend on the input
     return tuple(o.coeffs[1] if isinstance(o, Jet) else 0.0 * o for o in out)

@@ -26,6 +26,7 @@ import numpy as np
 from . import jets
 from .errors import UnsupportedTruncationError
 from .integrators import get_tableau
+from .systems import check_size
 
 # Most vertices of a tree the terms use: f^[k-1] needs the trees with
 # p + k - 1 vertices.  Up to 5 there are 17; deeper terms have no user yet.
@@ -173,9 +174,14 @@ class TruncatedModifiedField:
         return out
 
     def __call__(self, y, h):
+        """The field at states ``(..., d)``, one 1-D state on Python floats;
+        ``h`` stays an array, so its powers are numpy's array power."""
+        y = np.asarray(y, dtype=float)
+        check_size(y.shape[-1], self.base.dim)
         if h is not None:
             h = np.asarray(h, dtype=float)
-        return jets.stack(self.components(jets.split(y), h))
+        cs = y.tolist() if y.ndim == 1 else jets.split(y)
+        return jets.stack(self.components(cs, h))
 
     def components(self, cs, h=None):
         if h is None:

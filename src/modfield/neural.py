@@ -170,12 +170,16 @@ def mlp_forward(net, x):
 
 
 def _check_step(h):
-    """``h`` as a float array; refused when missing or negative."""
+    """``h``, a float or as a float array; refused when missing, negative
+    or NaN."""
     if h is None:
         raise ValueError("a learned modified field needs a step h")
-    h = np.asarray(h, dtype=float)
-    if (h < 0).any():
-        raise ValueError("step h must be >= 0")
+    if not isinstance(h, float):
+        h = np.asarray(h, dtype=float)
+        if not (h >= 0.0).all():
+            raise ValueError(f"step h must be >= 0, got {h[~(h >= 0.0)][0]}")
+    elif not h >= 0.0:
+        raise ValueError(f"step h must be >= 0, got {h}")
     return h
 
 
@@ -231,25 +235,32 @@ class ModifiedFieldModel:
     def eval(self, y, h, vjps=None):
         """``f_app(y, h)``; ``h`` scalar or one step per leading row.
 
-        With a list ``vjps`` (:func:`step_loss_and_grad`) the evaluation
-        also appends its closed-form vector-Jacobian product ``vjp(g,
-        wrt_y)``, which returns the gradient with respect to ``theta`` and,
+        ``base(y)`` plus each net's ``hcol ** (p + j) * net(x)`` in net
+        order (``hcol`` the steps as a column, ``x`` is ``y``, with that
+        column for the remainder).  With a list ``vjps``
+        (:func:`step_loss_and_grad`) the same arithmetic keeps the layer
+        inputs and appends its closed-form vector-Jacobian product
+        ``vjp(g, wrt_y)``: the gradient with respect to ``theta`` and,
         when ``wrt_y``, the one with respect to ``y`` (else ``None``).
         """
         y = np.asarray(y, dtype=float)
         h = _check_step(h)
-        hcol = h[..., None]
+        hcol = np.array([h]) if isinstance(h, float) else h[..., None]
         if hcol.shape[:-1] != y.shape[:-1]:
             hcol = np.broadcast_to(hcol, y.shape[:-1] + (1,))
+        if vjps is None:
+            out = self.base(y)
+            for j, net in enumerate(self.term_nets):
+                out = out + hcol ** (self.p + j) * mlp_forward(net, y)
+            x = np.concatenate([y, hcol], axis=-1)
+            return out + (hcol ** (self.p + self.n_terms - 1)
+                          * mlp_forward(self.remainder_net, x))
         xs = [y] * len(self.term_nets) + [np.concatenate([y, hcol], axis=-1)]
         scales = [hcol ** (self.p + j) for j in range(self.n_terms)]
         acts = [[] for _ in xs]
         out = self.base(y)
         for net, x, c, keep in zip(self.nets, xs, scales, acts):
-            out = out + c * (mlp_forward(net, x) if vjps is None
-                             else _layers(net, x, keep))
-        if vjps is None:
-            return out
+            out = out + c * _layers(net, x, keep)
 
         def vjp(g, wrt_y):
             # y's gradient sums the base field's part, then each net's in

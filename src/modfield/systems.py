@@ -15,6 +15,12 @@ from . import jets
 from .errors import IntegrationFailureError
 
 
+def check_size(n, dim):
+    """Refuse a state of ``n`` values where ``dim`` are expected."""
+    if n != dim:
+        raise ValueError(f"state has last dimension {n}, expected {dim}")
+
+
 @dataclass(frozen=True, eq=False)
 class VectorFieldSpec:
     """An autonomous vector field ``y' = f(y)`` with named invariants.
@@ -43,11 +49,12 @@ class VectorFieldSpec:
         return tuple(self.component_fn(tuple(comps)))
 
     def __call__(self, y, h=None):
+        """The field at states ``(..., dim)``; one 1-D state is evaluated on
+        Python floats, as the one-row DOPRI5 loop does, with the same bits."""
         y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.dim:
-            raise ValueError(
-                f"state has last dimension {y.shape[-1]}, expected {self.dim}"
-            )
+        check_size(y.shape[-1], self.dim)
+        if y.ndim == 1:
+            return np.array(self.component_fn(tuple(y.tolist())), dtype=float)
         out = np.empty(y.shape)
         for i, c in enumerate(self.component_fn(jets.split(y))):
             out[..., i] = c
@@ -187,6 +194,8 @@ def reference_trajectory(field, y0, times, tol=1e-12):
     y = np.asarray(y0, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"y0 must be one 1-D state, got shape {y.shape}")
+    if isinstance(field, VectorFieldSpec):
+        check_size(y.size, field.dim)
     out = np.empty((times.size, y.size))
     t_prev = 0.0
     for i, t in enumerate(times):

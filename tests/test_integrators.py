@@ -263,6 +263,29 @@ def test_one_row_flow_rejects_a_state_of_the_wrong_size(pendulum):
                             np.array([0.5, 1.0]), 1e-10, 1e-10)
 
 
+def test_wrong_size_is_rejected_without_a_positive_segment(pendulum):
+    # a record that never steps still has its size checked
+    y0 = np.array([1.0, 0.0, 0.5])
+    with pytest.raises(ValueError, match="last dimension 3, expected 2"):
+        reference_trajectory(pendulum, y0, [0.0])
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError, match="last dimension 3, expected 2"):
+            adaptive_flow_batch(pendulum, y0[None], np.array([t_end]),
+                                1e-10, 1e-10)
+        with pytest.raises(ValueError, match="last dimension 3, expected 2"):
+            adaptive_flow_batch(pendulum, np.array([y0, y0]),
+                                np.array([t_end, 0.0]), 1e-10, 1e-10)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_a_non_finite_step(pendulum, h):
+    for scheme in ("euler", "midpoint"):
+        with pytest.raises(ValueError, match=f"h must be positive and "
+                                             f"finite, got {h}"):
+            integrate(get_stepper(scheme), pendulum, np.array([1.0, 0.0]),
+                      h, 3)
+
+
 def test_malformed_states_are_rejected(pendulum):
     # more than one row where one state is meant, or a third dimension
     with pytest.raises(ValueError, match=r"got shape \(1, 2\)"):

@@ -106,6 +106,19 @@ def test_term_argument_guards(pendulum):
         truncated_field(pendulum, "euler", 3)(np.array([1.0, 0.0]), None)
 
 
+def test_truncated_field_rejects_a_state_of_the_wrong_size(pendulum):
+    # the pendulum's components read two values: a third would be ignored
+    # and a missing one would fail by index
+    for k in (1, 2, 3):
+        field = truncated_field(pendulum, "euler", k)
+        for y in (np.array([1.0, 0.0, 0.5]), np.array([[1.0, 0.0, 0.5]] * 4),
+                  np.array([1.0]), np.array([[1.0]] * 4)):
+            n = y.shape[-1]
+            with pytest.raises(ValueError,
+                               match=f"last dimension {n}, expected 2"):
+                field(y, 0.1)
+
+
 def test_truncation_k1_is_base_field(pendulum, rng):
     f1 = truncated_field(pendulum, "euler", 1)
     y = rng.uniform(-2, 2, size=(6, 2))

@@ -143,6 +143,23 @@ def test_model_call_requires_step(pendulum):
         model.jacobian(np.zeros(2), -0.1)
 
 
+def test_model_refuses_a_nan_step(pendulum):
+    model = tiny_model(pendulum, n_terms=2)
+    y = np.array([[1.0, 0.0], [0.5, -0.5]])
+    for h in (float("nan"), np.float64("nan"), np.array(np.nan),
+              np.array([0.1, np.nan])):
+        with pytest.raises(ValueError, match="step h must be >= 0, got nan"):
+            model(y, h)
+        with pytest.raises(ValueError, match="step h must be >= 0, got nan"):
+            model.eval(y, h, [])
+    with pytest.raises(ValueError, match="step h must be >= 0, got nan"):
+        model(y[0], float("nan"))
+    with pytest.raises(ValueError, match="step h must be >= 0, got -0.5"):
+        model(y, np.array([0.1, -0.5]))
+    with pytest.raises(ValueError, match="step h must be >= 0, got nan"):
+        model.jacobian(y, float("nan"))
+
+
 def test_model_step_weighting(pendulum, rng):
     """Term nets enter at h^p, h^{p+1}, ...; remainder at h^{n_t+p-1}."""
     model = init_model(pendulum, "euler", p=1, n_terms=3, hidden=(6,), seed=9)
