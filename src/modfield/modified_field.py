@@ -180,8 +180,9 @@ class TruncatedModifiedField:
         check_size(y.shape[-1], self.base.dim)
         if h is not None:
             h = np.asarray(h, dtype=float)
-        cs = y.tolist() if y.ndim == 1 else jets.split(y)
-        return jets.stack(self.components(cs, h))
+        if y.ndim == 1 and not np.ndim(h):
+            return np.array(self.components(y.tolist(), h), dtype=float)
+        return jets.stack(self.components(jets.split(y), h))
 
     def components(self, cs, h=None):
         if h is None:
