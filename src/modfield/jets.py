@@ -31,9 +31,6 @@ class Jet:
         if len(self.coeffs) != 2:
             raise ValueError("a jet is a value and one slope")
 
-    def coeff(self, k):
-        return self.coeffs[k]
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):

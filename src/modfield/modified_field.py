@@ -12,6 +12,16 @@ The rational ``b(tau)`` follow from the tableau alone by the substitution
 law (Chartier-Hairer-Vilmart 2007, 2010; Hairer-Lubich-Wanner, *Geometric
 Numerical Integration*, ch. III, IX).  The elementary differentials
 ``F(tau)`` are taken at the point with nested first-order jets.
+
+Nested jets cost far more in Python dispatch than in arithmetic, so they
+run once per base field, scheme and ``k``: on recording values, which log
+each ``+``, ``-``, ``*``, ``sin`` and ``cos`` they take part in.  The log
+becomes one straight-line Python function, and that program evaluates the
+field from then on: the recorded operations in the recorded order, each
+repeat and each operation no output uses left out, on floats, arrays or
+the jets of an enclosing derivative alike.  The programs are cached on the
+base field object.  The same recorder checks a ``VectorFieldSpec`` when it
+is built.
 """
 
 from collections import Counter
@@ -20,9 +30,11 @@ from functools import cache
 from itertools import product
 from math import factorial, prod
 from operator import mul
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from . import _mathops as _m
 from . import jets
 from .errors import UnsupportedTruncationError
 from .integrators import get_tableau
@@ -141,6 +153,143 @@ def _terms(field, tab, cs, f, n):
     return terms
 
 
+class _Recorded:
+    """A value being recorded: entry ``i`` of the operation list ``ops``.
+
+    ``+``, ``-``, ``*``, negation, ``sin`` and ``cos`` record an entry
+    ``(op, operand, ...)`` with the operands in the order Python passed
+    them.  Anything else (``/``, ``**``, comparisons, truth,
+    ``float``, ``math`` and numpy functions) raises ``TypeError``.
+    """
+
+    __slots__ = ("ops", "i")
+    __array_ufunc__ = None  # numpy refuses it rather than making objects
+
+    def __init__(self, ops, entry):
+        ops.append(entry)
+        self.ops, self.i = ops, len(ops) - 1
+
+    def _op(self, *entry):
+        if any(isinstance(a, jets.Jet) for a in entry):
+            return NotImplemented  # the jet records through its coefficients
+        return _Recorded(self.ops, entry)
+
+    def __add__(self, other):
+        return self._op("+", self, other)
+
+    def __radd__(self, other):
+        return self._op("+", other, self)
+
+    def __sub__(self, other):
+        return self._op("-", self, other)
+
+    def __rsub__(self, other):
+        return self._op("-", other, self)
+
+    def __mul__(self, other):
+        return self._op("*", self, other)
+
+    def __rmul__(self, other):
+        return self._op("*", other, self)
+
+    def __neg__(self):
+        return self._op("neg", self)
+
+    def sin(self):
+        return self._op("sin", self)
+
+    def cos(self):
+        return self._op("cos", self)
+
+    def _refuse(self, *other):
+        raise TypeError("a component has no order or truth value")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
+
+
+def record(fn, n):
+    """The operation list and the output of ``fn`` on a tuple of ``n``
+    recording values."""
+    ops = []
+    return ops, fn(tuple(_Recorded(ops, ("in", i)) for i in range(n)))
+
+
+_EXPR = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "neg": "-{}",
+         "sin": "sin({})", "cos": "cos({})"}
+
+
+def _compile(ops, outs, label):
+    """``program(x0, x1, ...)``: straight-line code for the recorded ``ops``
+    that returns ``outs``, nested tuples of recorded values and constants.
+
+    Each distinct operation runs once, where it was first recorded, and an
+    operation no output uses is left out; neither changes a bit of what is
+    returned.  Constants are the recorded objects themselves, unpacked from
+    a tuple, and ``sin``/``cos`` are :mod:`modfield._mathops`'s, so the
+    program runs on any ring the field does.
+    """
+    params, names, first, lines, consts = [], [], {}, [], {}
+
+    def name(a):
+        if isinstance(a, _Recorded):
+            return names[a.i]
+        # a constant, by identity: equal floats may differ in their bits
+        return consts.setdefault(id(a), (f"k{len(consts)}", a))[0]
+
+    for op, *args in ops:
+        if op == "in":
+            params.append(f"x{len(params)}")
+            names.append(params[-1])
+            continue
+        key = (op,) + tuple(map(name, args))
+        if key not in first:
+            first[key] = f"v{len(lines)}"
+            lines.append((first[key], _EXPR[op].format(*key[1:]), key[1:]))
+        names.append(first[key])
+
+    live = set()
+
+    def expr(out):
+        if isinstance(out, (tuple, list)):
+            return "(" + "".join(expr(o) + ", " for o in out) + ")"
+        var = name(out)
+        live.add(var)
+        return var
+
+    returned = expr(outs)
+    body = []
+    for var, rhs, args in reversed(lines):
+        if var in live:
+            live.update(args)
+            body.append(f"    {var} = {rhs}\n")
+    used = [(k, c) for k, c in consts.values() if k in live]
+    src = f"def program({', '.join(params)}):\n"
+    if used:
+        src += f"    {''.join(k + ', ' for k, _ in used)}= K\n"
+    src += "".join(reversed(body)) + f"    return {returned}\n"
+    namespace = {"K": tuple(c for _, c in used), "sin": _m.sin, "cos": _m.cos}
+    exec(compile(src, f"<{label}>", "exec"), namespace)
+    return namespace.pop("program")  # no cycle: it goes with its last user
+
+
+# the programs of a base field, by (scheme, k); they go when the field goes
+_PROGRAMS = WeakKeyDictionary()
+
+
+def _program(base, tab, k):
+    """The compiled ``(f, f^[1], ..., f^[k-1])`` of ``tab``'s modified
+    field of ``base``, recorded on first use."""
+    programs = _PROGRAMS.setdefault(base, {})
+    if (tab.name, k) not in programs:
+        def fn(cs):
+            f = base.components(cs)
+            return [f] + _terms(base, tab, cs, f, k - 1)
+        ops, outs = record(fn, base.dim)
+        programs[tab.name, k] = _compile(
+            ops, outs, f"truncated {base.name} {tab.name} k={k}")
+    return programs[tab.name, k]
+
+
 class TruncatedModifiedField:
     """Evaluator of ``f(y) + h^p sum_{j<k} h^{j-1} f^[j](y)``.
 
@@ -159,15 +308,13 @@ class TruncatedModifiedField:
                 f"{MAX_TAYLOR_ORDER} vertices)"
             )
         self.base = base
-        self.tableau = tab
         self.p = tab.order
         self.k = int(k)
+        self._program = _program(base, tab, self.k)
 
     def terms(self, y):
         """The kept terms ``f^[1..k-1]``, stacked as ``(k-1, ..., d)``."""
-        cs = jets.split(y)
-        terms = _terms(self.base, self.tableau, cs, self.base.components(cs),
-                       self.k - 1)
+        terms = self._program(*jets.split(y))[1:]
         out = np.empty((len(terms),) + np.shape(y))
         for j, t in enumerate(terms):
             out[j] = jets.stack(t)
@@ -187,9 +334,8 @@ class TruncatedModifiedField:
     def components(self, cs, h=None):
         if h is None:
             raise ValueError("a truncated modified field needs a step h")
-        out = f = self.base.components(cs)
-        for j, t in enumerate(_terms(self.base, self.tableau, cs, f,
-                                     self.k - 1), start=1):
+        out, *terms = self._program(*cs)
+        for j, t in enumerate(terms, start=1):
             w = h ** (self.p + j - 1)
             out = tuple(o + w * x for o, x in zip(out, t))
         return out

@@ -92,10 +92,6 @@ class MlpParams:
             self.biases.append(vector[k:k + n_out])
             k += n_out
 
-    @property
-    def n_params(self):
-        return self.vector.size
-
 
 def mlp_init(layer_sizes, seed):
     """Glorot-uniform weights, zero biases, reproducible from the seed."""

@@ -34,7 +34,9 @@ class VectorFieldSpec:
     component_fn : callable
         Maps a tuple of ``dim`` scalar-like components to a tuple of
         ``dim`` components, using only ``+``, ``-``, ``*`` and the helpers
-        in :mod:`modfield._mathops`.
+        in :mod:`modfield._mathops`.  A ``component_fn`` that divides,
+        raises to a power, compares or calls ``math`` or numpy on a
+        component is refused with a ``ValueError`` when the spec is built.
     invariants : dict
         Maps invariant names to callables on state arrays ``(..., dim)``.
     """
@@ -43,6 +45,19 @@ class VectorFieldSpec:
     dim: int
     component_fn: callable
     invariants: dict = _dcfield(default_factory=dict)
+
+    def __post_init__(self):
+        # the contract, checked once on values that record what they meet
+        from .modified_field import record
+        try:
+            _, out = record(self.components, self.dim)
+        except TypeError as e:
+            raise ValueError(
+                f"vector field {self.name!r}: component_fn may use only +, "
+                f"-, * and modfield._mathops on components ({e})") from None
+        if len(out) != self.dim:
+            raise ValueError(f"vector field {self.name!r}: component_fn "
+                             f"gives {len(out)} components for dim {self.dim}")
 
     def components(self, comps, h=None):
         """Evaluate the field on a tuple of scalar-like components."""

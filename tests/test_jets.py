@@ -61,8 +61,8 @@ def test_sin_chain_rule():
 def test_array_valued_jets():
     x = np.array([0.1, 0.5, 2.0])
     j = Jet([x, np.ones_like(x)]).sin()
-    assert np.allclose(j.coeff(0), np.sin(x))
-    assert np.allclose(j.coeff(1), np.cos(x))
+    assert np.allclose(j.coeffs[0], np.sin(x))
+    assert np.allclose(j.coeffs[1], np.cos(x))
 
 
 def test_stack_broadcasts_constant_components():

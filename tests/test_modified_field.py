@@ -1,14 +1,18 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from modfield import jets
 from modfield.errors import FixedPointError, UnsupportedTruncationError
 from modfield.integrators import get_stepper, integrate, order_estimate
 from modfield.jets import directional_derivative
 from modfield.modified_field import (TREES, _b_series, _gamma, _order,
                                      _sigma, max_truncation, truncated_field)
-from modfield.systems import get_system, reference_trajectory
+from modfield.systems import (get_system, reference_trajectory,
+                              rigid_body_field)
 from oracles import (
     ConditioningWarning,
     extract_first_correction,
@@ -301,3 +305,43 @@ def test_truncated_field_differentiates_through_jets(pendulum, rng):
         jvp = directional_derivative(f3, y, v, 0.3)
         fd = (f3(y + 1e-5 * v, 0.3) - f3(y - 1e-5 * v, 0.3)) / 2e-5
         assert np.max(np.abs(jvp - fd)) < 1e-8, scheme
+
+
+def test_truncated_field_records_its_program_once(monkeypatch):
+    calls = []
+    dd = jets.dd_components
+    monkeypatch.setattr(jets, "dd_components",
+                        lambda *a: calls.append(a) or dd(*a))
+    base = get_system("pendulum")
+    first = truncated_field(base, "euler", 3)
+    assert calls
+    del calls[:]
+    again = truncated_field(base, "euler", 3)
+    y = np.array([[1.0, 0.5], [0.2, -0.3]])
+    for field in (first, again):
+        field(y, 0.1)
+        field(y[0], 0.1)
+        field(y, np.array([0.1, 0.2]))
+        field.terms(y)
+    assert again._program is first._program and not calls
+
+
+def test_truncated_field_programs_belong_to_the_spec_object():
+    # both specs are named "rigid_body"; each keeps its own programs
+    a, b = rigid_body_field(1.0, 2.0, 3.0), rigid_body_field(2.0, 3.0, 5.0)
+    y = np.array([[0.6, -0.3, 0.74], [0.1, 0.9, -0.2]])
+    for k in (1, 3):
+        fa, fb = truncated_field(a, "euler", k), truncated_field(b, "euler", k)
+        assert fa._program is not fb._program
+        assert not np.array_equal(fa(y, 0.1), fb(y, 0.1))
+    assert (truncated_field(b, "euler", 1)(y, 0.1).tobytes()
+            == b(y).tobytes())
+
+
+def test_truncated_field_programs_go_with_their_spec():
+    spec = get_system("pendulum")
+    program = weakref.ref(truncated_field(spec, "rk2", 4)._program)
+    dropped = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert dropped() is None and program() is None

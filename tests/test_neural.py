@@ -57,7 +57,7 @@ def test_mlp_init_rejects_a_zero_width(sizes):
 
 def test_mlp_parameter_count():
     # 2*200+200 + 200*200+200 + 200*2+2
-    assert mlp_init([2, 200, 200, 2], seed=1).n_params == 41_202
+    assert mlp_init([2, 200, 200, 2], seed=1).vector.size == 41_202
 
 
 def test_mlp_forward_batch_and_input_guard():

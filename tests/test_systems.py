@@ -63,6 +63,24 @@ def test_dim_mismatch_raises(pendulum):
         pendulum(np.zeros(3))
 
 
+@pytest.mark.parametrize("fn", [
+    lambda c: (1.0 / c[0],),             # ZeroDivisionError on one float
+    lambda c: (c[0] ** 2,),              # OverflowError on one float
+    lambda c: (c[0] if c[0] > 0.0 else -c[0],),
+    lambda c: (np.exp(c[0]),),
+    lambda c: (math.cos(c[0]),),
+])
+def test_spec_outside_its_contract_is_refused(fn):
+    with pytest.raises(ValueError, match="vector field 'inv': component_fn "
+                                         "may use only"):
+        VectorFieldSpec("inv", 1, fn)
+
+
+def test_spec_with_the_wrong_number_of_components_is_refused():
+    with pytest.raises(ValueError, match="gives 2 components for dim 1"):
+        VectorFieldSpec("pair", 1, lambda c: (c[0], c[0]))
+
+
 def test_negated_field(pendulum, rng):
     rev = negated(pendulum)
     y = rng.uniform(-2, 2, size=(9, 2))
