@@ -11,11 +11,12 @@ inputs) and a grid-based Lipschitz estimator.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import jets
+from ._recorder import define
 from .errors import FixedPointError, IntegrationFailureError, StageOverflowError
 from .systems import VectorFieldSpec, check_size
 
@@ -344,23 +345,27 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     bit is pinned by the tests, so a rewrite may change how the operations
     are issued but not which floating-point operations a record sees.
     Two loops keep it, selected by row count.  A one-row call (every
-    reference-trajectory segment) runs :func:`_flow_one` on Python floats,
-    its seven stages written out for the fixed tableau; a wider call
-    (dataset generation, per-term targets) runs :func:`_flow_rows` on
-    arrays held component-major: the states are ``d`` contiguous rows of
-    ``n`` records and the stage stack is ``(7, d, n)``.  Both loops
-    evaluate a :class:`~modfield.systems.VectorFieldSpec` through its
-    ``components``, on floats or on the component rows, after checking the
-    state's size as the array call does (also when no record steps); the
-    one-row loop does so from its start-step probe on, and the wide loop's
-    probe is the array call.
-    Any other field is called on C-contiguous ``(n, d)`` states with one
-    step per row.  Both follow these rules: powers go through ``np.power``
-    (float ``**`` and ``math.pow`` round differently from numpy's array
-    power); stage sums start from ``0.0`` and add the weighted stages in
-    stage order, zero weights included, as ``einsum`` does; norms add the
-    squared components left to right; and minima and maxima propagate NaN
-    as ``np.minimum`` and ``np.maximum`` do.  The one exception: once a
+    reference-trajectory segment) runs :func:`_flow_one` on Python floats:
+    its stages are code generated from the tableau once per state
+    dimension, and a :class:`~modfield.systems.VectorFieldSpec` runs as
+    its ``float_program``, the straight-line code recorded from its
+    ``component_fn``, from the start-step probe on.  A wider call (dataset
+    generation, per-term targets) runs :func:`_flow_rows` on arrays held
+    component-major: the states are ``d`` contiguous rows of ``n`` records,
+    the stage stack is ``(7, d, n)``, and a spec is evaluated through its
+    ``components`` on the component rows, its probe being the array call.
+    Both loops check a spec's state size as the array call does (also when
+    no record steps).  Any other field is called on C-contiguous
+    ``(n, d)`` states with one step per row.  Both follow these rules:
+    a field program issues its spec's operations in their order, on floats
+    as on arrays (its ``sin``/``cos`` are numpy's, returned as floats);
+    powers go through ``np.power`` (float ``**`` and ``math.pow`` round
+    differently from numpy's array power); stage inputs add ``a_ij h k_j``
+    left to right over the nonzero ``a_ij``; stage sums start from ``0.0``
+    and add the weighted stages in stage order, zero weights included, as
+    ``einsum`` does; norms add the squared components left to right; and
+    minima and maxima propagate NaN as ``np.minimum`` and ``np.maximum``
+    do.  The one exception: once a
     wide call of a one-component system narrows to one row, its
     ``(7, 1, 1)`` stage stack sends ``einsum`` down its dot-product path,
     which adds the stages in SIMD lanes, so that row's last bits differ
@@ -378,7 +383,7 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
         raise ValueError(f"need finite atol > 0 and rtol >= 0, got "
                          f"atol={atol!r}, rtol={rtol!r}")
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
-    if y0.ndim != 2:
+    if y0.ndim != 2 or not y0.shape[1]:
         raise ValueError(
             f"y0 must be one state or (n, d) states, got shape {y0.shape}")
     t_end = np.asarray(t_end, dtype=float)
@@ -514,34 +519,68 @@ def _fmin(a, b):
     return a if a <= b or a != a else b
 
 
+def _stage_source(d):
+    """Source of ``stages(F, h, u0, ..., u_{d-1})``, DOPRI5's seven stages
+    from the state ``u`` with step ``h``, generated from the tableau.
+
+    It returns the new state and the error estimate as two tuples.  The
+    field is called as ``F(h, z0, ..., z_{d-1})`` and gives ``d`` values.
+    Each stage input is ``u + c0*x0 + c1*x1 + ...`` with ``c = a_ij h``,
+    added left to right in stage order over the nonzero ``a_ij`` (which
+    skips ``a_61``, as :data:`_DP_ROWS` does); the solution and error sums
+    are ``0.0 + b0*x0 + ... + b6*x6`` with the zero weights kept, so
+    ``0*inf`` stays NaN.
+    """
+    us = [f"u{i}" for i in range(d)]
+    lines = [f"def stages(F, h, {', '.join(us)}):"]
+    for s, row in enumerate(_DP_ROWS):
+        lines += [f"    c{s}{j} = {_DP_A[k]!r} * h" for k, j in row]
+        zs = [u + "".join(f" + c{s}{j} * k{j}_{i}" for _, j in row)
+              for i, u in enumerate(us)]
+        lines.append(f"    {''.join(f'k{s}_{i}, ' for i in range(d))}"
+                     f"= F(h, {', '.join(zs)})")
+
+    def weighted(ws, i):
+        return "0.0" + "".join(f" + {w!r} * k{s}_{i}" for s, w in enumerate(ws))
+
+    lines.append(f"    return ("
+                 + "".join(f"{u} + h * ({weighted(_DP_B, i)}), "
+                           for i, u in enumerate(us))
+                 + "), ("
+                 + "".join(f"h * ({weighted(_DP_E, i)}), " for i in range(d))
+                 + ")")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _stages(d):
+    """The compiled :func:`_stage_source` for ``d`` components; it depends
+    on the tableau alone, so it is built once per ``d`` and kept."""
+    return define(_stage_source(d), f"dopri5 stages d={d}", {}, "stages")
+
+
 def _flow_one(field, y0, t_end, atol, rtol, collect):
     """The float loop of :func:`adaptive_flow_batch`: one row, the same
     arithmetic on Python floats.
 
-    The seven stages are written out for the fixed tableau, as in Hairer's
-    ``dopri5.f``: each stage input is ``u + c0*x0 + c1*x1 + ...`` with
-    ``c = a_ij h``, added left to right in stage order and skipping the
-    zero ``a_61`` as :data:`_DP_ROWS` does; the solution and error sums are
-    ``0.0 + b0*x0 + ... + b6*x6`` with the zero weights kept, so ``0*inf``
-    stays NaN.  A :class:`~modfield.systems.VectorFieldSpec` is evaluated
-    through its ``components`` on floats, the start-step probe included,
-    after the dimension check its array call makes; its array call runs the
-    same component code.  Any other field goes through its array call on a
-    one-row array, since learned and truncated fields round their
-    component form differently (their step powers are float ``**``).
+    Each step runs the stage code generated for the state's dimension
+    (:func:`_stage_source`), which calls the field as ``F(h, z0, ...)``
+    on floats.  For a :class:`~modfield.systems.VectorFieldSpec`, ``F`` is
+    the spec's ``float_program``, the start-step probe included, after the
+    dimension check its array call makes: the spec's own operations in
+    their order, on Python floats, as its array call issues them on
+    arrays.  Any other field goes through its array call on a one-row
+    array, since learned and truncated fields round their component form
+    differently (their step powers are float ``**``).  The controller
+    issues the operations :func:`_flow_rows` does, on floats.
     """
     if isinstance(field, VectorFieldSpec):
-        comps = field.components
-
-        def f(y, h):
-            return [float(c) for c in comps(y)]
+        F = field.float_program
     else:
-        def f(y, h):
-            out = field(np.array([y]), np.array([h]))
+        def F(h, *z):
+            out = field(np.array([z]), np.array([h]))
             return np.asarray(out, dtype=float)[0].tolist()
 
-    b0, b1, b2, b3, b4, b5, b6 = _DP_B
-    e0, e1, e2, e3, e4, e5, e6 = _DP_E
     tend = float(t_end[0])
     y = y0[0].tolist()
     hist_t, hist_y = [0.0], [y]
@@ -556,12 +595,13 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
         check_size(len(y), field.dim)
     if not tend > 0:
         return result(y, True, tend)
+    stages = _stages(len(y))
     t = 0.0
     h_floor = 1e-13 * max(1.0, tend)
 
     # starting step heuristic (one Euler probe)
     sc = [atol + rtol * abs(u) for u in y]
-    f0 = f(y, 0.0)
+    f0 = F(0.0, *y)
     d0 = math.sqrt(_mean_sq(y, sc))
     d1 = math.sqrt(_mean_sq(f0, sc))
     if d0 < 1e-5 or d1 < 1e-5:
@@ -569,7 +609,7 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
     else:
         h0 = 0.01 * d0 / _fmax(d1, 1e-300)
     h0 = _fmin(h0, tend)
-    f1 = f([u + h0 * v for u, v in zip(y, f0)], h0)
+    f1 = F(h0, *[u + h0 * v for u, v in zip(y, f0)])
     # an overflowing f0 makes h0 zero: divide as numpy does, not raise
     d2 = math.sqrt(_mean_sq([a - b for a, b in zip(f1, f0)], sc))
     d2 = float(np.float64(d2) / h0)
@@ -587,32 +627,7 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
         rem = tend - t
         final = h >= rem
         h_try = rem if final else h
-        (c10, c20, c21, c30, c31, c32, c40, c41, c42, c43, c50, c51, c52,
-         c53, c54, c60, c62, c63, c64, c65) = [a * h_try for a in _DP_A]
-
-        k0 = f(y, h_try)
-        k1 = f([u + c10 * x0 for u, x0 in zip(y, k0)], h_try)
-        k2 = f([u + c20 * x0 + c21 * x1
-                for u, x0, x1 in zip(y, k0, k1)], h_try)
-        k3 = f([u + c30 * x0 + c31 * x1 + c32 * x2
-                for u, x0, x1, x2 in zip(y, k0, k1, k2)], h_try)
-        k4 = f([u + c40 * x0 + c41 * x1 + c42 * x2 + c43 * x3
-                for u, x0, x1, x2, x3 in zip(y, k0, k1, k2, k3)], h_try)
-        k5 = f([u + c50 * x0 + c51 * x1 + c52 * x2 + c53 * x3 + c54 * x4
-                for u, x0, x1, x2, x3, x4 in zip(y, k0, k1, k2, k3, k4)],
-               h_try)
-        k6 = f([u + c60 * x0 + c62 * x2 + c63 * x3 + c64 * x4 + c65 * x5
-                for u, x0, x2, x3, x4, x5 in zip(y, k0, k2, k3, k4, k5)],
-               h_try)
-        y_new, err_vec = [], []
-        for u, x0, x1, x2, x3, x4, x5, x6 in zip(y, k0, k1, k2, k3, k4, k5,
-                                                 k6):
-            y_new.append(u + h_try * (0.0 + b0 * x0 + b1 * x1 + b2 * x2
-                                      + b3 * x3 + b4 * x4 + b5 * x5
-                                      + b6 * x6))
-            err_vec.append(h_try * (0.0 + e0 * x0 + e1 * x1 + e2 * x2
-                                    + e3 * x3 + e4 * x4 + e5 * x5
-                                    + e6 * x6))
+        y_new, err_vec = stages(F, h_try, *y)
 
         sc = [atol + rtol * _fmax(abs(u), abs(v)) for u, v in zip(y, y_new)]
         err = math.sqrt(_mean_sq(err_vec, sc))

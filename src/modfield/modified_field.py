@@ -14,14 +14,16 @@ Numerical Integration*, ch. III, IX).  The elementary differentials
 ``F(tau)`` are taken at the point with nested first-order jets.
 
 Nested jets cost far more in Python dispatch than in arithmetic, so they
-run once per base field, scheme and ``k``: on recording values, which log
-each ``+``, ``-``, ``*``, ``sin`` and ``cos`` they take part in.  The log
+run once per base field, scheme and ``k``, on the recording values of
+:mod:`modfield._recorder`, which log each ``+``, ``-``, ``*``, ``sin`` and
+``cos`` they take part in.  The elementary differentials are filled in
+order of tree size, so no recursive closure holds the base field.  The log
 becomes one straight-line Python function, and that program evaluates the
 field from then on: the recorded operations in the recorded order, each
 repeat and each operation no output uses left out, on floats, arrays or
 the jets of an enclosing derivative alike.  The programs are cached on the
-base field object.  The same recorder checks a ``VectorFieldSpec`` when it
-is built.
+base field object and go with it.  The same recorder checks a
+``VectorFieldSpec`` and gives it its float program when it is built.
 """
 
 from collections import Counter
@@ -34,8 +36,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from . import _mathops as _m
 from . import jets
+from ._recorder import compile_program, record
 from .errors import UnsupportedTruncationError
 from .integrators import get_tableau
 from .systems import check_size
@@ -138,138 +140,26 @@ def _derivative(field, cs, vs):
 def _terms(field, tab, cs, f, n):
     """Correction terms ``f^[1..n]`` of ``tab``'s modified field at ``cs``,
     where the field's value is ``f``."""
+    rows = _table(tab.name)[:n]
+    # the elementary differentials of the terms' trees and their subtrees,
+    # filled in order of size: a tree's subtrees are smaller
+    need = {t for row in rows for _, t in row}
+    for trees in reversed(TREES):
+        for t in trees:
+            if t in need:
+                need.update(t)
     F = {(): f}
-
-    def elementary(t):
-        if t not in F:
-            F[t] = _derivative(field, cs, [elementary(c) for c in t])
-        return F[t]
+    for trees in TREES[1:]:
+        for t in trees:
+            if t in need:
+                F[t] = _derivative(field, cs, [F[c] for c in t])
 
     terms = []
-    for row in _table(tab.name)[:n]:
-        parts = ([[w * x for x in elementary(t)] for w, t in row]
+    for row in rows:
+        parts = ([[w * x for x in F[t]] for w, t in row]
                  or [[0.0 * x for x in f]])
         terms.append(tuple(sum(p[1:], p[0]) for p in zip(*parts)))
     return terms
-
-
-class _Recorded:
-    """A value being recorded: entry ``i`` of the operation list ``ops``.
-
-    ``+``, ``-``, ``*``, negation, ``sin`` and ``cos`` record an entry
-    ``(op, operand, ...)`` with the operands in the order Python passed
-    them.  Anything else (``/``, ``**``, comparisons, truth,
-    ``float``, ``math`` and numpy functions) raises ``TypeError``.
-    """
-
-    __slots__ = ("ops", "i")
-    __array_ufunc__ = None  # numpy refuses it rather than making objects
-
-    def __init__(self, ops, entry):
-        ops.append(entry)
-        self.ops, self.i = ops, len(ops) - 1
-
-    def _op(self, *entry):
-        if any(isinstance(a, jets.Jet) for a in entry):
-            return NotImplemented  # the jet records through its coefficients
-        return _Recorded(self.ops, entry)
-
-    def __add__(self, other):
-        return self._op("+", self, other)
-
-    def __radd__(self, other):
-        return self._op("+", other, self)
-
-    def __sub__(self, other):
-        return self._op("-", self, other)
-
-    def __rsub__(self, other):
-        return self._op("-", other, self)
-
-    def __mul__(self, other):
-        return self._op("*", self, other)
-
-    def __rmul__(self, other):
-        return self._op("*", other, self)
-
-    def __neg__(self):
-        return self._op("neg", self)
-
-    def sin(self):
-        return self._op("sin", self)
-
-    def cos(self):
-        return self._op("cos", self)
-
-    def _refuse(self, *other):
-        raise TypeError("a component has no order or truth value")
-
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
-
-
-def record(fn, n):
-    """The operation list and the output of ``fn`` on a tuple of ``n``
-    recording values."""
-    ops = []
-    return ops, fn(tuple(_Recorded(ops, ("in", i)) for i in range(n)))
-
-
-_EXPR = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "neg": "-{}",
-         "sin": "sin({})", "cos": "cos({})"}
-
-
-def _compile(ops, outs, label):
-    """``program(x0, x1, ...)``: straight-line code for the recorded ``ops``
-    that returns ``outs``, nested tuples of recorded values and constants.
-
-    Each distinct operation runs once, where it was first recorded, and an
-    operation no output uses is left out; neither changes a bit of what is
-    returned.  Constants are the recorded objects themselves, unpacked from
-    a tuple, and ``sin``/``cos`` are :mod:`modfield._mathops`'s, so the
-    program runs on any ring the field does.
-    """
-    params, names, first, lines, consts = [], [], {}, [], {}
-
-    def name(a):
-        if isinstance(a, _Recorded):
-            return names[a.i]
-        # a constant, by identity: equal floats may differ in their bits
-        return consts.setdefault(id(a), (f"k{len(consts)}", a))[0]
-
-    for op, *args in ops:
-        if op == "in":
-            params.append(f"x{len(params)}")
-            names.append(params[-1])
-            continue
-        key = (op,) + tuple(map(name, args))
-        if key not in first:
-            first[key] = f"v{len(lines)}"
-            lines.append((first[key], _EXPR[op].format(*key[1:]), key[1:]))
-        names.append(first[key])
-
-    live = set()
-
-    def expr(out):
-        if isinstance(out, (tuple, list)):
-            return "(" + "".join(expr(o) + ", " for o in out) + ")"
-        var = name(out)
-        live.add(var)
-        return var
-
-    returned = expr(outs)
-    body = []
-    for var, rhs, args in reversed(lines):
-        if var in live:
-            live.update(args)
-            body.append(f"    {var} = {rhs}\n")
-    used = [(k, c) for k, c in consts.values() if k in live]
-    src = f"def program({', '.join(params)}):\n"
-    if used:
-        src += f"    {''.join(k + ', ' for k, _ in used)}= K\n"
-    src += "".join(reversed(body)) + f"    return {returned}\n"
-    namespace = {"K": tuple(c for _, c in used), "sin": _m.sin, "cos": _m.cos}
-    exec(compile(src, f"<{label}>", "exec"), namespace)
-    return namespace.pop("program")  # no cycle: it goes with its last user
 
 
 # the programs of a base field, by (scheme, k); they go when the field goes
@@ -285,7 +175,7 @@ def _program(base, tab, k):
             f = base.components(cs)
             return [f] + _terms(base, tab, cs, f, k - 1)
         ops, outs = record(fn, base.dim)
-        programs[tab.name, k] = _compile(
+        programs[tab.name, k] = compile_program(
             ops, outs, f"truncated {base.name} {tab.name} k={k}")
     return programs[tab.name, k]
 

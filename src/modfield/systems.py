@@ -7,11 +7,13 @@ definition evaluates on floats, arrays and Taylor jets.
 """
 
 from dataclasses import dataclass, field as _dcfield
+from functools import cached_property
 
 import numpy as np
 
 from . import _mathops as _m
 from . import jets
+from ._recorder import compile_program, record
 from .errors import IntegrationFailureError
 
 
@@ -39,6 +41,9 @@ class VectorFieldSpec:
         component is refused with a ``ValueError`` when the spec is built.
     invariants : dict
         Maps invariant names to callables on state arrays ``(..., dim)``.
+
+    ``component_fn`` is recorded once, when the spec is built; the record
+    becomes :attr:`float_program` on first use.
     """
 
     name: str
@@ -48,9 +53,8 @@ class VectorFieldSpec:
 
     def __post_init__(self):
         # the contract, checked once on values that record what they meet
-        from .modified_field import record
         try:
-            _, out = record(self.components, self.dim)
+            ops, out = record(self.components, self.dim)
         except TypeError as e:
             raise ValueError(
                 f"vector field {self.name!r}: component_fn may use only +, "
@@ -58,18 +62,37 @@ class VectorFieldSpec:
         if len(out) != self.dim:
             raise ValueError(f"vector field {self.name!r}: component_fn "
                              f"gives {len(out)} components for dim {self.dim}")
+        object.__setattr__(self, "_recorded", (ops, out))
+
+    @cached_property
+    def float_program(self):
+        """``float_program(h, y0, ..., y_{dim-1})``: the field's components
+        on one state of Python floats (``h`` unused), compiled from the
+        record of ``component_fn``.  It runs each distinct operation of
+        ``component_fn`` once, in recorded order, and its ``sin``/``cos``
+        return Python floats, so its bits are those of ``component_fn`` on
+        floats.  Compiled on first use: a spec that never steps one state
+        on floats does not pay for it."""
+        ops, out = self._recorded
+        return compile_program(ops, out, f"{self.name} float program",
+                               floats=True)
+
+    def __getstate__(self):
+        # generated code does not pickle; a copy compiles its own
+        return {k: v for k, v in vars(self).items() if k != "float_program"}
 
     def components(self, comps, h=None):
         """Evaluate the field on a tuple of scalar-like components."""
         return tuple(self.component_fn(tuple(comps)))
 
     def __call__(self, y, h=None):
-        """The field at states ``(..., dim)``; one 1-D state is evaluated on
-        Python floats, as the one-row DOPRI5 loop does, with the same bits."""
+        """The field at states ``(..., dim)``; one 1-D state is evaluated by
+        :attr:`float_program`, as the one-row DOPRI5 loop does, with the
+        same bits."""
         y = np.asarray(y, dtype=float)
         check_size(y.shape[-1], self.dim)
         if y.ndim == 1:
-            return np.array(self.component_fn(tuple(y.tolist())), dtype=float)
+            return np.array(self.float_program(h, *y.tolist()), dtype=float)
         out = np.empty(y.shape)
         for i, c in enumerate(self.component_fn(jets.split(y))):
             out[..., i] = c

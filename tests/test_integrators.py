@@ -1,9 +1,13 @@
 import math
+import pickle
 import re
+import traceback
 
 import numpy as np
 import pytest
 
+from modfield import _mathops as _m
+from modfield import integrators, systems
 from modfield.errors import (
     FixedPointError,
     IntegrationFailureError,
@@ -299,6 +303,11 @@ def test_malformed_states_are_rejected(pendulum):
                            match=f"got shape {re.escape(str(shape))}"):
             adaptive_flow_batch(pendulum, np.zeros(shape),
                                 np.full(shape[0], 0.5), 1e-10, 1e-10)
+    # states without components, for a field that would take them
+    for n in (1, 3):
+        with pytest.raises(ValueError, match=rf"got shape \({n}, 0\)"):
+            adaptive_flow_batch(lambda y, h: y, np.zeros((n, 0)),
+                                np.full(n, 0.5), 1e-10, 1e-10)
 
 
 def test_dopri5_integrate_accuracy(pendulum):
@@ -417,3 +426,154 @@ def test_scheme_orders_on_pendulum(pendulum):
             errs.append(np.linalg.norm(traj.states[-1] - ref))
         assert order_estimate(np.array(errs), hs) == pytest.approx(
             expected, abs=0.15)
+
+
+def _one_row_specs():
+    """Specs the one-row loop runs through their float programs: with
+    ``sin``, with ``cos``, with a constant component, one going NaN and
+    one blowing up; each with a start state and end times."""
+    return [
+        (get_system("pendulum"), [1.5, 0.3], (1.5, 0.05, 0.0)),
+        (get_system("rigid_body"), [0.6, -0.3, 0.74], (1.5, 0.05)),
+        (VectorFieldSpec(
+            name="cosine", dim=2,
+            component_fn=lambda c: (_m.cos(c[1]) * c[0] - c[1],
+                                    0.5 * c[0] + _m.cos(c[0] * c[1]))),
+         [0.4, -1.1], (1.5, 0.3)),
+        (VectorFieldSpec(name="drift", dim=2,
+                         component_fn=lambda c: (0.25, c[0] * c[1] - c[1])),
+         [0.3, 0.8], (1.0, -0.5)),
+        (VectorFieldSpec(name="nanfield", dim=1,
+                         component_fn=lambda c: (c[0] * float("nan"),)),
+         [1.0], (1.0,)),
+        (VectorFieldSpec(name="blowup", dim=1,
+                         component_fn=lambda c: (c[0] * c[0],)),
+         [2.0], (1.0, 0.3)),
+    ]
+
+
+def _bits(out):
+    """The bytes of every array in a flow's result, its history included."""
+    return [_bits(a) if isinstance(a, tuple) else a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("i", range(6), ids=["pendulum", "rigid_body",
+                                             "cosine", "drift", "nanfield",
+                                             "blowup"])
+def test_spec_float_program_flows_as_its_array_call(i):
+    # a spec steps through its float program and the generated stage code;
+    # as a plain callable it goes through its array call on one-row
+    # arrays: every output, failing rows and reached times included, must
+    # have the same bits
+    spec, y0, ends = _one_row_specs()[i]
+    plain = lambda y, h: spec(y)  # noqa: E731
+    y0 = np.array([y0])
+    for tol in (1e-6, 1e-12):
+        for t_end in ends:
+            t = np.array([t_end])
+            for collect in (False, True):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = adaptive_flow_batch(spec, y0, t, tol, tol, collect)
+                    want = adaptive_flow_batch(plain, y0, t, tol, tol,
+                                               collect)
+                assert _bits(got) == _bits(want)
+            if t_end <= 0:
+                continue
+            runs = []
+            for field in (spec, plain):
+                try:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        traj = dopri5_integrate(field, y0[0], t_end, tol, tol)
+                    runs.append((traj.times.tobytes(), traj.states.tobytes()))
+                except IntegrationFailureError as e:
+                    runs.append(e.t_reached)
+            assert runs[0] == runs[1]
+    if spec.name in ("nanfield", "blowup"):
+        _, ok, reached = adaptive_flow_batch(spec, y0, np.array([1.0]),
+                                             1e-10, 1e-10)
+        assert not ok[0] and reached[0] < 1.0
+
+
+def test_spec_is_recorded_once(monkeypatch):
+    # recorded when built, compiled on the first one-state use
+    calls, compiled = [], []
+    record, compile_program = systems.record, systems.compile_program
+    monkeypatch.setattr(systems, "record",
+                        lambda *a: calls.append(a) or record(*a))
+    monkeypatch.setattr(systems, "compile_program",
+                        lambda *a, **k: compiled.append(a)
+                        or compile_program(*a, **k))
+    spec = systems.pendulum_field()
+    spec(np.ones((4, 2)))  # an array call needs no program
+    assert len(calls) == 1 and not compiled
+    program = spec.float_program
+    y0 = np.array([[1.0, 0.5]])
+    for _ in range(3):
+        adaptive_flow_batch(spec, y0, np.array([0.4]), 1e-10, 1e-10)
+        dopri5_integrate(spec, y0[0], 0.4, 1e-10, 1e-10)
+        reference_trajectory(spec, y0[0], [0.1, 0.2])
+        spec(y0[0])
+    assert len(calls) == 1 and len(compiled) == 1
+    assert spec.float_program is program
+    # a copy, pickled after use, compiles its own program from the record
+    copy = pickle.loads(pickle.dumps(spec))
+    assert len(calls) == 1 and copy(y0[0]).tobytes() == spec(y0[0]).tobytes()
+
+
+def test_rigid_bodies_get_their_own_float_programs():
+    # both specs are named "rigid_body" and share their component code
+    a, b = systems.rigid_body_field(1.0, 2.0, 3.0), systems.rigid_body_field(
+        2.0, 3.0, 5.0)
+    assert a.float_program is not b.float_program
+    y0 = np.array([[0.6, -0.3, 0.74]])
+    ya, _, _ = adaptive_flow_batch(a, y0, np.array([1.0]), 1e-10, 1e-10)
+    yb, _, _ = adaptive_flow_batch(b, y0, np.array([1.0]), 1e-10, 1e-10)
+    assert not np.array_equal(ya, yb)
+    for spec, y in ((a, ya), (b, yb)):
+        plain = lambda y, h, spec=spec: spec(y)  # noqa: E731
+        assert adaptive_flow_batch(plain, y0, np.array([1.0]), 1e-10,
+                                   1e-10)[0].tobytes() == y.tobytes()
+
+
+def test_stage_code_is_built_once_per_dimension(monkeypatch):
+    built = []
+    source = integrators._stage_source
+    monkeypatch.setattr(integrators, "_stage_source",
+                        lambda d: built.append(d) or source(d))
+    integrators._stages.cache_clear()
+    for _ in range(2):
+        for spec, y0, _ in _one_row_specs():
+            plain = lambda y, h, spec=spec: spec(y)  # noqa: E731
+            for field in (spec, plain):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    adaptive_flow_batch(field, np.array([y0]),
+                                        np.array([0.2]), 1e-8, 1e-8)
+    assert sorted(built) == [1, 2, 3]
+
+
+def test_tracebacks_show_generated_lines(pendulum):
+    # a field that raises while a step runs: the traceback passes through
+    # the generated stage code and shows its line
+    calls = []
+
+    def failing(y, h):
+        calls.append(1)
+        if len(calls) == 4:  # probe, probe, stage 0, then stage 1
+            raise RuntimeError("field failed")
+        return pendulum(y)
+
+    with pytest.raises(RuntimeError) as info:
+        adaptive_flow_batch(failing, np.array([[1.0, 0.5]]), np.array([1.0]),
+                            1e-10, 1e-10)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<dopri5 stages d=2>"' in text
+    assert "k1_0, k1_1, = F(h, u0 + c10 * k0_0, u1 + c10 * k0_1)" in text
+    # a spec's float program and a truncated field's program alike
+    truncated = truncated_field(pendulum, "euler", 2)
+    for call, line in (
+            (lambda: pendulum.float_program(None, 0.5, "x"),
+             "v0 = float(sin(x1))"),
+            (lambda: truncated._program(0.5, "x"), "v0 = sin(x1)")):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert line in "".join(traceback.format_exception(info.value))

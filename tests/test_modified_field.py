@@ -7,7 +7,8 @@ import pytest
 
 from modfield import jets
 from modfield.errors import FixedPointError, UnsupportedTruncationError
-from modfield.integrators import get_stepper, integrate, order_estimate
+from modfield.integrators import (adaptive_flow_batch, get_stepper, integrate,
+                                  order_estimate)
 from modfield.jets import directional_derivative
 from modfield.modified_field import (TREES, _b_series, _gamma, _order,
                                      _sigma, max_truncation, truncated_field)
@@ -345,3 +346,20 @@ def test_truncated_field_programs_go_with_their_spec():
     del spec
     gc.collect()
     assert dropped() is None and program() is None
+
+
+def test_a_dropped_spec_goes_without_the_collector():
+    # no reference cycle holds the spec: neither recording its truncated
+    # field's terms, nor one-row DOPRI5 on either field, nor a program cache
+    gc.disable()
+    try:
+        spec = get_system("pendulum")
+        field = truncated_field(spec, "euler", 3)
+        for f in (spec, field):
+            adaptive_flow_batch(f, np.array([[1.0, 0.5]]), np.array([0.3]),
+                                1e-10, 1e-10)
+        dropped = weakref.ref(spec)
+        del spec, field, f
+        assert dropped() is None
+    finally:
+        gc.enable()
