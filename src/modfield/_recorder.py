@@ -7,7 +7,7 @@ once and replayed as straight-line Python.
 :mod:`~modfield.systems` records a ``VectorFieldSpec`` to check it and to
 build its float program, and :mod:`~modfield.modified_field` records the
 correction terms of truncated fields.  :func:`define` runs generated source
-(these programs, and the DOPRI5 stage code of
+(these programs, and the one-state step code of
 :mod:`~modfield.integrators`) and keeps it in :mod:`linecache`, so that a
 traceback through generated code shows its lines.
 """
@@ -79,7 +79,10 @@ def record(fn, n):
     """The operation list and the output of ``fn`` on a tuple of ``n``
     recording values."""
     ops = []
-    return ops, fn(tuple(_Recorded(ops, ("in", i)) for i in range(n)))
+    out = fn(tuple(_Recorded(ops, ("in", i)) for i in range(n)))
+    kept = ops.copy()
+    ops.clear()  # every value holds ops: emptied, it makes no cycle
+    return kept, out
 
 
 _EXPR = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "neg": "-{}",
@@ -133,6 +136,7 @@ def compile_program(ops, outs, label, floats=False):
         return var
 
     returned = expr(outs)
+    del expr  # a recursive closure holds itself: no cycle once it is gone
     body = []
     for var, rhs, args in reversed(lines):
         if var in live:

@@ -12,6 +12,7 @@ inputs) and a grid-based Lipschitz estimator.
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import sub
 
 import numpy as np
 
@@ -141,8 +142,8 @@ def rk_stage_loop(tab, field, y, h, checked=False):
     """The explicit Runge-Kutta step ``y + sum_i (h b_i) k_i`` with stages
     ``k_i = field(y + sum_{j<i} (h a_ij) k_j, h)``.
 
-    The one stage loop behind :func:`rk_step`, learned-field stepping and
-    training, on arrays; ``h`` is a scalar or one step per leading row of
+    The stage loop on arrays (one state: :func:`_stage_source`), for
+    batches and training; ``h`` is a scalar or one step per leading row of
     ``y``.  Zero coefficients are skipped; training's reverse sweep
     (``_tape.backward``) skips the same ones.  With ``checked`` a
     non-finite stage raises :class:`StageOverflowError` naming the stage.
@@ -179,12 +180,33 @@ def rk_step(tab, field, y, h):
 
     Evaluates the field exactly ``tab.stages`` times.  Raises
     :class:`StageOverflowError` naming the stage if an evaluation goes
-    non-finite.
+    non-finite.  One 1-D state with a float ``h`` runs on floats
+    (:func:`_stage_source`), anything else :func:`rk_stage_loop`.
     """
     if not tab.is_explicit:
         raise ValueError(f"tableau {tab.name!r} is not explicit")
-    return rk_stage_loop(tab, field, np.asarray(y, dtype=float), h,
-                         checked=True)
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1 and y.size and isinstance(h, float):
+        step, F = _stages(tab, y.size), _float_field(field, y.size)
+        return np.array(step(F, h, *y.tolist()))
+    return rk_stage_loop(tab, field, y, h, checked=True)
+
+
+def _float_field(field, d):
+    """``field`` as ``F(h, z0, ..., z_{d-1})`` on ``d`` floats: a spec's
+    ``float_program`` after its size check, else the field's own call on a
+    1-D array with the caller's ``h``, refusing a value of another size."""
+    if isinstance(field, VectorFieldSpec):
+        check_size(d, field.dim)
+        return field.float_program
+
+    def F(h, *z):
+        k = np.asarray(field(np.array(z), h), dtype=float)
+        if k.shape != (d,):
+            raise ValueError(f"field value has shape {k.shape} for a state "
+                             f"of shape ({d},)")
+        return k.tolist()
+    return F
 
 
 _FP_ITERS, _FP_TOL = 50, 1e-12  # midpoint fixed point: budget, tolerance
@@ -196,23 +218,33 @@ def implicit_midpoint_step(field, y, h):
     The stage equation is solved by fixed-point iteration from ``z = y``.
     Raises :class:`FixedPointError` (carrying the residual) if the change
     between iterates does not fall below ``_FP_TOL`` within ``_FP_ITERS``
-    iterations.
+    iterations.  One 1-D state with a float ``h`` is solved on floats.
     """
     y = np.asarray(y, dtype=float)
+    floats = y.ndim == 1 and y.size > 0 and isinstance(h, float)
+    if floats:
+        F, y = _float_field(field, y.size), y.tolist()
     z = y
     residual = np.inf
     for it in range(1, _FP_ITERS + 1):
-        z_new = y + h * np.asarray(field(0.5 * (y + z), h), dtype=float)
-        if not np.isfinite(z_new).all():
+        if floats:
+            k = F(h, *[0.5 * (a + b) for a, b in zip(y, z)])
+            z_new = [a + h * b for a, b in zip(y, k)]
+            finite = all(map(math.isfinite, z_new))
+        else:
+            z_new = y + h * np.asarray(field(0.5 * (y + z), h), dtype=float)
+            finite = np.isfinite(z_new).all()
+        if not finite:
             raise FixedPointError(
                 f"fixed point diverged after {it} iterations",
                 residual=float("inf"),
                 iterations=it,
             )
-        residual = float(np.abs(z_new - z).max())
+        residual = (max(map(abs, map(sub, z_new, z))) if floats
+                    else float(np.abs(z_new - z).max()))
         z = z_new
         if residual <= _FP_TOL:
-            return z
+            return np.array(z) if floats else z
     raise FixedPointError(
         f"fixed point not converged after {_FP_ITERS} iterations "
         f"(residual {residual:.3e} > {_FP_TOL:.3e})",
@@ -222,7 +254,8 @@ def implicit_midpoint_step(field, y, h):
 
 
 def get_stepper(name):
-    """Stepper ``(field, y, h) -> y_next`` by scheme name."""
+    """Stepper ``(field, y, h) -> y_next`` by scheme name (with a
+    ``tableau`` if explicit)."""
     key = canonical_scheme(name)
     if key == "midpoint":
         return implicit_midpoint_step
@@ -232,6 +265,7 @@ def get_stepper(name):
         return rk_step(tab, field, y, h)
 
     stepper.__name__ = f"{key}_step"
+    stepper.tableau = tab
     return stepper
 
 
@@ -258,27 +292,38 @@ def integrate(stepper, field, y0, h, n_steps):
     """Fixed-step integration: ``n_steps`` steps of size ``h``.
 
     ``times[n] = n*h``.  Stepper errors are re-raised with the failing
-    step index attached.
+    step index attached.  One 1-D state and a stepper with a ``tableau``
+    step in one loop on floats (:func:`_stage_source`); other steppers
+    are called once per step.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     y = np.asarray(y0, dtype=float)
-    states = np.empty((n_steps + 1, y.size))
-    states[0] = y
-    for i in range(n_steps):
-        try:
-            y = stepper(field, y, h)
-        except StageOverflowError as e:
-            raise StageOverflowError(
-                f"step {i}: {e}", stage=e.stage, step_index=i) from e
-        except FixedPointError as e:
-            raise FixedPointError(
-                f"step {i}: {e}", residual=e.residual,
-                iterations=e.iterations, step_index=i) from e
-        states[i + 1] = y
-    return Trajectory(np.arange(n_steps + 1) * float(h), states)
+    tab = getattr(stepper, "tableau", None)
+    floats = tab is not None and y.ndim == 1 and y.size > 0
+    if floats:
+        step, F = _stages(tab, y.size), _float_field(field, y.size)
+        rows = [y.tolist()]
+    else:
+        states = np.empty((n_steps + 1, y.size))
+        states[0] = y
+    try:
+        for i in range(n_steps):
+            if floats:
+                rows.append(step(F, h, *rows[-1]))
+            else:
+                states[i + 1] = y = stepper(field, y, h)
+    except StageOverflowError as e:
+        raise StageOverflowError(
+            f"step {i}: {e}", stage=e.stage, step_index=i) from e
+    except FixedPointError as e:
+        raise FixedPointError(
+            f"step {i}: {e}", residual=e.residual,
+            iterations=e.iterations, step_index=i) from e
+    return Trajectory(np.arange(n_steps + 1) * float(h),
+                      np.array(rows) if floats else states)
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +338,20 @@ _EXPO = 0.2 - 0.75 * _BETA
 _MAX_STEPS = 200_000  # steps per call before unfinished records fail
 
 
-def _dopri5_plan():
-    """DOPRI5's nonzero ``a_ij`` as one list of floats, and for each stage
-    ``i`` the ``(k, j)`` pairs that add ``a[k] * h * k_j`` to its input."""
-    a = _TABLEAUS["dopri5"].a
+def _plan(tab):
+    """The tableau's nonzero ``a_ij`` as one list of floats, and for each
+    stage ``i`` the ``(k, j)`` pairs that add ``a[k] * h * k_j`` to it."""
     coeffs, rows = [], []
-    for i in range(a.shape[0]):
+    for i, row in enumerate(tab.a.tolist()):
         rows.append([])
-        for j in range(i):
-            if a[i, j] != 0.0:
+        for j, a in enumerate(row[:i]):
+            if a != 0.0:
                 rows[i].append((len(coeffs), j))
-                coeffs.append(float(a[i, j]))
+                coeffs.append(a)
     return coeffs, rows
 
 
-_DP_A, _DP_ROWS = _dopri5_plan()
-_DP_B = _TABLEAUS["dopri5"].b.tolist()
-_DP_E = (_TABLEAUS["dopri5"].b - _TABLEAUS["dopri5"].b_emb).tolist()
+_DP_A, _DP_ROWS = _plan(_TABLEAUS["dopri5"])
 
 
 def _mean_sq(x, sc):
@@ -519,44 +561,63 @@ def _fmin(a, b):
     return a if a <= b or a != a else b
 
 
-def _stage_source(d):
-    """Source of ``stages(F, h, u0, ..., u_{d-1})``, DOPRI5's seven stages
-    from the state ``u`` with step ``h``, generated from the tableau.
+def _stage_source(tab, d, embedded=False):
+    """Source of one step of the explicit tableau ``tab`` from the floats
+    ``u0, ..., u_{d-1}``, calling the field as ``F(h, z0, ..., z_{d-1})``.
 
-    It returns the new state and the error estimate as two tuples.  The
-    field is called as ``F(h, z0, ..., z_{d-1})`` and gives ``d`` values.
-    Each stage input is ``u + c0*x0 + c1*x1 + ...`` with ``c = a_ij h``,
-    added left to right in stage order over the nonzero ``a_ij`` (which
-    skips ``a_61``, as :data:`_DP_ROWS` does); the solution and error sums
-    are ``0.0 + b0*x0 + ... + b6*x6`` with the zero weights kept, so
-    ``0*inf`` stays NaN.
+    Stage inputs are ``u + c0*x0 + ...`` with ``c = a_ij h``, left to right
+    over the nonzero ``a_ij`` (:func:`_plan`).  ``step`` is
+    :func:`rk_stage_loop` with ``checked``: it raises on a non-finite stage
+    and returns ``u + e0*x0 + ...``, ``e = b_i h`` over the nonzero ``b_i``.
+    With ``embedded``, ``stages`` is DOPRI5's pair for :func:`_flow_one`:
+    new state and error estimate, each ``0.0 + b0*x0 + ... + b6*x6`` with
+    the zero weights kept (``0*inf`` stays NaN).
     """
+    coeffs, rows = _plan(tab)
+    b = tab.b.tolist()
     us = [f"u{i}" for i in range(d)]
-    lines = [f"def stages(F, h, {', '.join(us)}):"]
-    for s, row in enumerate(_DP_ROWS):
-        lines += [f"    c{s}{j} = {_DP_A[k]!r} * h" for k, j in row]
+    name = "stages" if embedded else "step"
+    lines = [f"def {name}(F, h, {', '.join(us)}):"]
+    for s, row in enumerate(rows):
+        ks = [f"k{s}_{i}" for i in range(d)]
+        lines += [f"    c{s}{j} = {coeffs[k]!r} * h" for k, j in row]
         zs = [u + "".join(f" + c{s}{j} * k{j}_{i}" for _, j in row)
               for i, u in enumerate(us)]
-        lines.append(f"    {''.join(f'k{s}_{i}, ' for i in range(d))}"
+        lines.append(f"    {''.join(k + ', ' for k in ks)}"
                      f"= F(h, {', '.join(zs)})")
-
-    def weighted(ws, i):
-        return "0.0" + "".join(f" + {w!r} * k{s}_{i}" for s, w in enumerate(ws))
-
-    lines.append(f"    return ("
-                 + "".join(f"{u} + h * ({weighted(_DP_B, i)}), "
-                           for i, u in enumerate(us))
-                 + "), ("
-                 + "".join(f"h * ({weighted(_DP_E, i)}), " for i in range(d))
-                 + ")")
+        if not embedded:
+            finite = " and ".join(f"isfinite({k})" for k in ks)
+            msg = f"non-finite field value in stage {s} of {tab.name}"
+            lines += [f"    if not ({finite}):",
+                      f"        raise StageOverflowError({msg!r}, stage={s})"]
+    if not embedded:
+        nonzero = [s for s, w in enumerate(b) if w != 0.0]
+        lines += [f"    e{s} = {b[s]!r} * h" for s in nonzero]
+        lines.append("    return (" + "".join(
+            u + "".join(f" + e{s} * k{s}_{i}" for s in nonzero) + ", "
+            for i, u in enumerate(us)) + ")")
+    else:
+        def weighted(ws, i):
+            return "0.0" + "".join(f" + {w!r} * k{s}_{i}"
+                                   for s, w in enumerate(ws))
+        e = (tab.b - tab.b_emb).tolist()
+        lines.append(f"    return ("
+                     + "".join(f"{u} + h * ({weighted(b, i)}), "
+                               for i, u in enumerate(us))
+                     + "), ("
+                     + "".join(f"h * ({weighted(e, i)}), " for i in range(d))
+                     + ")")
     return "\n".join(lines) + "\n"
 
 
 @cache
-def _stages(d):
-    """The compiled :func:`_stage_source` for ``d`` components; it depends
-    on the tableau alone, so it is built once per ``d`` and kept."""
-    return define(_stage_source(d), f"dopri5 stages d={d}", {}, "stages")
+def _stages(tab, d, embedded=False):
+    """The compiled :func:`_stage_source`, once per tableau and ``d``."""
+    name = "stages" if embedded else "step"
+    namespace = {"isfinite": math.isfinite,
+                 "StageOverflowError": StageOverflowError}
+    return define(_stage_source(tab, d, embedded),
+                  f"{tab.name} {name} d={d}", namespace, name)
 
 
 def _flow_one(field, y0, t_end, atol, rtol, collect):
@@ -565,24 +626,21 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
 
     Each step runs the stage code generated for the state's dimension
     (:func:`_stage_source`), which calls the field as ``F(h, z0, ...)``
-    on floats.  For a :class:`~modfield.systems.VectorFieldSpec`, ``F`` is
-    the spec's ``float_program``, the start-step probe included, after the
-    dimension check its array call makes: the spec's own operations in
-    their order, on Python floats, as its array call issues them on
-    arrays.  Any other field goes through its array call on a one-row
+    on floats.  A :class:`~modfield.systems.VectorFieldSpec` runs as its
+    ``float_program`` (:func:`_float_field`), the start-step probe
+    included.  Any other field goes through its array call on a one-row
     array, since learned and truncated fields round their component form
     differently (their step powers are float ``**``).  The controller
     issues the operations :func:`_flow_rows` does, on floats.
     """
+    tend = float(t_end[0])
+    y = y0[0].tolist()
     if isinstance(field, VectorFieldSpec):
-        F = field.float_program
+        F = _float_field(field, len(y))
     else:
         def F(h, *z):
             out = field(np.array([z]), np.array([h]))
             return np.asarray(out, dtype=float)[0].tolist()
-
-    tend = float(t_end[0])
-    y = y0[0].tolist()
     hist_t, hist_y = [0.0], [y]
 
     def result(y, ok, t):
@@ -591,11 +649,9 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
             return out + ((np.array(hist_t), np.array(hist_y)),)
         return out
 
-    if isinstance(field, VectorFieldSpec):
-        check_size(len(y), field.dim)
     if not tend > 0:
         return result(y, True, tend)
-    stages = _stages(len(y))
+    stages = _stages(_TABLEAUS["dopri5"], len(y), True)
     t = 0.0
     h_floor = 1e-13 * max(1.0, tend)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import re
@@ -11,6 +12,7 @@ from modfield import integrators, systems
 from modfield.errors import (
     FixedPointError,
     IntegrationFailureError,
+    ModfieldError,
     StageOverflowError,
 )
 from modfield.integrators import (
@@ -23,13 +25,15 @@ from modfield.integrators import (
     estimate_lipschitz,
     get_stepper,
     get_tableau,
+    implicit_midpoint_step,
     integrate,
     order_estimate,
     rk_step,
     scheme_names,
     theorem_bound,
 )
-from modfield.modified_field import truncated_field
+from modfield.modified_field import max_truncation, truncated_field
+from modfield.neural import init_model
 from modfield.systems import (
     DomainBox,
     VectorFieldSpec,
@@ -536,10 +540,14 @@ def test_rigid_bodies_get_their_own_float_programs():
 
 
 def test_stage_code_is_built_once_per_dimension(monkeypatch):
+    # once per tableau, dimension and kind: DOPRI5's embedded pair for the
+    # one-row flow, and each explicit tableau's fixed step
     built = []
     source = integrators._stage_source
     monkeypatch.setattr(integrators, "_stage_source",
-                        lambda d: built.append(d) or source(d))
+                        lambda tab, d, embedded=False: built.append(
+                            (tab.name, d, embedded))
+                        or source(tab, d, embedded))
     integrators._stages.cache_clear()
     for _ in range(2):
         for spec, y0, _ in _one_row_specs():
@@ -548,7 +556,16 @@ def test_stage_code_is_built_once_per_dimension(monkeypatch):
                 with np.errstate(invalid="ignore", over="ignore"):
                     adaptive_flow_batch(field, np.array([y0]),
                                         np.array([0.2]), 1e-8, 1e-8)
-    assert sorted(built) == [1, 2, 3]
+                    for scheme in ("euler", "dopri5"):
+                        try:
+                            integrate(get_stepper(scheme), field,
+                                      np.array(y0), 0.1, 3)
+                        except StageOverflowError:
+                            pass
+    assert sorted(built) == sorted(
+        (name, d, kind) for name, kind in (
+            ("dopri5", False), ("dopri5", True), ("euler", False))
+        for d in (1, 2, 3))
 
 
 def test_tracebacks_show_generated_lines(pendulum):
@@ -577,3 +594,118 @@ def test_tracebacks_show_generated_lines(pendulum):
         with pytest.raises(TypeError) as info:
             call()
         assert line in "".join(traceback.format_exception(info.value))
+
+
+# -- one state on floats against the array loops -------------------------
+
+# the text of DOPRI5's one-row stage code for d = 1, 2, 3, before the
+# emitter also wrote the fixed-step steps
+_DOPRI5_STAGE_SOURCE_SHA256 = {
+    1: "eda3fb8932dedc0d87567d6f1fa44d2f1e218527248ccf73174617d6e01b9506",
+    2: "528d6291fc24ae0900c1c25a6ed213847de8597b22a9f7feb72b7f7aed980535",
+    3: "03e2a62d635ee2ac96d9619c76d3f53b3f4d0a948bd21a84d2d98ebbd0537813",
+}
+
+
+def test_dopri5_stage_source_is_unchanged():
+    tab = get_tableau("dopri5")
+    for d, digest in _DOPRI5_STAGE_SOURCE_SHA256.items():
+        src = integrators._stage_source(tab, d, embedded=True)
+        assert hashlib.sha256(src.encode()).hexdigest() == digest
+
+
+def _outcome(fn):
+    """The bytes of what ``fn`` returns, or what its error carries."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn())
+        return out.dtype.str, out.shape, out.tobytes()
+    except (ModfieldError, ValueError) as e:
+        return (type(e), str(e), getattr(e, "stage", None),
+                getattr(e, "step_index", None), getattr(e, "residual", None),
+                getattr(e, "iterations", None))
+
+
+_FLOAT_STATES = {
+    "pendulum": [[1.5, 0.3], [-0.7, 2.9], [1e155, 0.5], [1e160, 1.0],
+                 [math.inf, 0.0], [0.4, math.nan]],
+    "rigid_body": [[0.6, -0.3, 0.74], [-1.9, 1.2, 2.5], [1e155, 1.0, 1.0],
+                   [1e160, 1e160, 1.0], [0.1, -math.inf, 0.2],
+                   [math.nan, 0.1, 0.3]],
+}
+
+
+def _float_fields(system, scheme):
+    """Every kind of field one state is stepped with: the spec, truncated
+    fields from k=2 up to the scheme's maximum, learned fields and a
+    plain callable."""
+    base = get_system(system)
+    fields = [base, lambda y, h: base(y),
+              init_model(base, "euler", 1, 2, (8,), seed=5),
+              init_model(base, "rk2", 2, 1, (6, 5), seed=6)]
+    return fields + [truncated_field(base, scheme, k)
+                     for k in range(2, max_truncation(scheme) + 1)]
+
+
+@pytest.mark.parametrize("system", ["pendulum", "rigid_body"])
+@pytest.mark.parametrize("name", ["euler", "rk2_midpoint", "rk2_heun",
+                                  "dopri5"])
+def test_float_steps_match_the_stage_loop(system, name):
+    # rk_step and integrate on one state against rk_stage_loop on arrays:
+    # the same bits, or the same error with the same stage and step
+    tab = get_tableau(name)
+
+    def array_stepper(field, y, h):
+        return integrators.rk_stage_loop(tab, field, y, h, checked=True)
+
+    kinds = set()
+    for field in _float_fields(system, "euler" if name == "dopri5" else name):
+        for y in map(np.array, _FLOAT_STATES[system]):
+            for h in (0.1, 1.25):
+                want = _outcome(lambda: array_stepper(field, y, h))
+                assert _outcome(lambda: rk_step(tab, field, y, h)) == want
+                want = _outcome(
+                    lambda: integrate(array_stepper, field, y, h, 6).states)
+                got = _outcome(lambda: integrate(get_stepper(name), field,
+                                                 y, h, 6).states)
+                assert got == want
+                kinds.add(want[0])
+    assert kinds == {"<f8", StageOverflowError}
+
+
+@pytest.mark.parametrize("system", ["pendulum", "rigid_body"])
+def test_float_midpoint_matches_the_array_iteration(system):
+    # a 0-d array step takes the array iteration
+    def array_stepper(field, y, h):
+        return implicit_midpoint_step(field, y, np.array(h))
+
+    errors = set()
+    for field in _float_fields(system, "midpoint"):
+        for y in map(np.array, _FLOAT_STATES[system]):
+            for h in (0.0625, 0.37, 1.25):
+                want = _outcome(lambda: array_stepper(field, y, h))
+                got = _outcome(lambda: implicit_midpoint_step(field, y, h))
+                assert got == want
+                want = _outcome(
+                    lambda: integrate(array_stepper, field, y, h, 6).states)
+                got = _outcome(lambda: integrate(get_stepper("midpoint"),
+                                                 field, y, h, 6).states)
+                assert got == want
+                if want[0] is FixedPointError:
+                    errors.add(want[5] == integrators._FP_ITERS)
+    assert errors == {False, True}  # diverged, and not converged
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2_heun", "dopri5",
+                                    "midpoint"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_field_value_of_the_wrong_size_is_refused(scheme, size):
+    # on one state the field's value is not broadcast to the state
+    def field(y, h):
+        return np.ones(size)
+
+    msg = rf"shape \({size},\) for a state of shape \(2,\)"
+    with pytest.raises(ValueError, match=msg):
+        integrate(get_stepper(scheme), field, np.zeros(2), 0.1, 2)
+    with pytest.raises(ValueError, match=msg):
+        get_stepper(scheme)(field, np.zeros(2), 0.1)

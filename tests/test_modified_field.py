@@ -363,3 +363,19 @@ def test_a_dropped_spec_goes_without_the_collector():
         assert dropped() is None
     finally:
         gc.enable()
+
+
+def test_recording_leaves_nothing_for_the_collector():
+    # neither a spec's record and float program nor a truncated field's
+    # recording leaves a reference cycle behind
+    gc.collect()
+    gc.disable()
+    try:
+        spec = get_system("pendulum")
+        field = truncated_field(spec, "euler", 3)
+        spec.float_program(None, 0.5, 0.25)
+        field(np.array([0.5, 0.25]), 0.1)
+        del spec, field
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
