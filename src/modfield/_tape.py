@@ -21,7 +21,8 @@ def backward(a, b, hc, vjps, g):
     a column, and ``vjps`` the field's recorded vector-Jacobian products
     in evaluation order: ``vjps[i](kbar, wrt_y)`` returns the parameter
     gradient of stage ``i`` and, when ``wrt_y``, the gradient at its
-    input.  Zero coefficients are skipped, as in the forward stage loop.
+    input.  Zero coefficients are skipped, as in the forward step, the
+    code ``integrators._stage_source`` emits from the same tableau.
     """
     kbar = [g * (hc * bi) if bi != 0.0 else None for bi in b]
     grad = None

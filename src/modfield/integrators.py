@@ -140,39 +140,22 @@ def get_tableau(name):
 
 def rk_stage_loop(tab, field, y, h, checked=False):
     """The explicit Runge-Kutta step ``y + sum_i (h b_i) k_i`` with stages
-    ``k_i = field(y + sum_{j<i} (h a_ij) k_j, h)``.
+    ``k_i = field(y + sum_{j<i} (h a_ij) k_j, h)``, on arrays.
 
-    The stage loop on arrays (one state: :func:`_stage_source`), for
-    batches and training; ``h`` is a scalar or one step per leading row of
-    ``y``.  Zero coefficients are skipped; training's reverse sweep
-    (``_tape.backward``) skips the same ones.  With ``checked`` a
-    non-finite stage raises :class:`StageOverflowError` naming the stage.
+    Runs the step code :func:`_stage_source` emits for one variable, which
+    here is the whole state array ``y``; ``h`` is a scalar or one step per
+    leading row of ``y``, and the field is called with it.  Zero
+    coefficients are skipped; training's reverse sweep (``_tape.backward``)
+    skips the same ones.  With ``checked`` a non-finite stage raises
+    :class:`StageOverflowError` naming the stage.
     """
-    hc = h  # a float keeps the products h*a_ij and h*b_i floats
+    hc = h  # a float keeps the products a_ij*h and b_i*h floats
     if not isinstance(h, float):
         hc = np.asarray(h, dtype=float)
         if hc.ndim:
             hc = hc[..., None]
-    a, b = tab.a.tolist(), tab.b.tolist()
-    ks = []
-    for i, row in enumerate(a):
-        yi = y
-        for aij, kj in zip(row, ks):
-            if aij != 0.0:
-                yi = yi + (hc * aij) * kj
-        ki = field(yi, h)
-        if checked:
-            ki = np.asarray(ki, dtype=float)
-            if not np.isfinite(ki).all():
-                raise StageOverflowError(
-                    f"non-finite field value in stage {i} of {tab.name}",
-                    stage=i)
-        ks.append(ki)
-    out = y
-    for bi, ki in zip(b, ks):
-        if bi != 0.0:
-            out = out + (hc * bi) * ki
-    return out
+    step = _stages(tab, 1, "arrays" if checked else "unchecked")
+    return step(lambda _, z: (_value(field, z, h),), hc, y)[0]
 
 
 def rk_step(tab, field, y, h):
@@ -180,33 +163,37 @@ def rk_step(tab, field, y, h):
 
     Evaluates the field exactly ``tab.stages`` times.  Raises
     :class:`StageOverflowError` naming the stage if an evaluation goes
-    non-finite.  One 1-D state with a float ``h`` runs on floats
-    (:func:`_stage_source`), anything else :func:`rk_stage_loop`.
+    non-finite.
     """
     if not tab.is_explicit:
         raise ValueError(f"tableau {tab.name!r} is not explicit")
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1 and y.size and isinstance(h, float):
-        step, F = _stages(tab, y.size), _float_field(field, y.size)
-        return np.array(step(F, h, *y.tolist()))
-    return rk_stage_loop(tab, field, y, h, checked=True)
+    return rk_stage_loop(tab, field, np.asarray(y, dtype=float), h,
+                         checked=True)
+
+
+def _value(field, y, h):
+    """``field(y, h)`` as a float array, refusing a value whose shape is
+    not the state's."""
+    k = np.asarray(field(y, h), dtype=float)
+    if k.shape != y.shape:
+        raise ValueError(f"field value has shape {k.shape} for a state of "
+                         f"shape {y.shape}")
+    return k
+
+
+def _all_finite(x):
+    """Whether every entry of the array ``x`` is finite."""
+    return np.isfinite(x).all()
 
 
 def _float_field(field, d):
     """``field`` as ``F(h, z0, ..., z_{d-1})`` on ``d`` floats: a spec's
     ``float_program`` after its size check, else the field's own call on a
-    1-D array with the caller's ``h``, refusing a value of another size."""
+    1-D array with the caller's ``h`` (:func:`_value`)."""
     if isinstance(field, VectorFieldSpec):
         check_size(d, field.dim)
         return field.float_program
-
-    def F(h, *z):
-        k = np.asarray(field(np.array(z), h), dtype=float)
-        if k.shape != (d,):
-            raise ValueError(f"field value has shape {k.shape} for a state "
-                             f"of shape ({d},)")
-        return k.tolist()
-    return F
+    return lambda h, *z: _value(field, np.array(z), h).tolist()
 
 
 _FP_ITERS, _FP_TOL = 50, 1e-12  # midpoint fixed point: budget, tolerance
@@ -218,33 +205,33 @@ def implicit_midpoint_step(field, y, h):
     The stage equation is solved by fixed-point iteration from ``z = y``.
     Raises :class:`FixedPointError` (carrying the residual) if the change
     between iterates does not fall below ``_FP_TOL`` within ``_FP_ITERS``
-    iterations.  One 1-D state with a float ``h`` is solved on floats.
+    iterations.  One iteration loop runs on a list of variables: the
+    components of one 1-D state with a float ``h`` as floats, anything
+    else as one variable, the whole array.
     """
     y = np.asarray(y, dtype=float)
     floats = y.ndim == 1 and y.size > 0 and isinstance(h, float)
     if floats:
-        F, y = _float_field(field, y.size), y.tolist()
+        F, finite, norm = _float_field(field, y.size), math.isfinite, abs
+        y = y.tolist()
+    else:
+        F, finite = (lambda h, z: (_value(field, z, h),)), _all_finite
+        norm, y = (lambda x: float(np.abs(x).max())), [y]
     z = y
     residual = np.inf
     for it in range(1, _FP_ITERS + 1):
-        if floats:
-            k = F(h, *[0.5 * (a + b) for a, b in zip(y, z)])
-            z_new = [a + h * b for a, b in zip(y, k)]
-            finite = all(map(math.isfinite, z_new))
-        else:
-            z_new = y + h * np.asarray(field(0.5 * (y + z), h), dtype=float)
-            finite = np.isfinite(z_new).all()
-        if not finite:
+        k = F(h, *[0.5 * (a + b) for a, b in zip(y, z)])
+        z_new = [a + h * b for a, b in zip(y, k)]
+        if not all(map(finite, z_new)):
             raise FixedPointError(
                 f"fixed point diverged after {it} iterations",
                 residual=float("inf"),
                 iterations=it,
             )
-        residual = (max(map(abs, map(sub, z_new, z))) if floats
-                    else float(np.abs(z_new - z).max()))
+        residual = max(map(norm, map(sub, z_new, z)))
         z = z_new
         if residual <= _FP_TOL:
-            return np.array(z) if floats else z
+            return np.array(z) if floats else z[0]
     raise FixedPointError(
         f"fixed point not converged after {_FP_ITERS} iterations "
         f"(residual {residual:.3e} > {_FP_TOL:.3e})",
@@ -398,7 +385,8 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     ``components`` on the component rows, its probe being the array call.
     Both loops check a spec's state size as the array call does (also when
     no record steps).  Any other field is called on C-contiguous
-    ``(n, d)`` states with one step per row.  Both follow these rules:
+    ``(n, d)`` states with one step per row, and a value of another shape
+    is refused with a ``ValueError``.  Both follow these rules:
     a field program issues its spec's operations in their order, on floats
     as on arrays (its ``sin``/``cos`` are numpy's, returned as floats);
     powers go through ``np.power`` (float ``**`` and ``math.pow`` round
@@ -468,7 +456,7 @@ def _flow_rows(field, y0, t_end, atol, rtol):
                 row[...] = c
     else:
         def f(y, h, out):
-            out[...] = np.asarray(field(np.ascontiguousarray(y.T), h)).T
+            out[...] = _value(field, np.ascontiguousarray(y.T), h).T
 
     y_start = y0[idx]
     y = np.ascontiguousarray(y_start.T)
@@ -479,7 +467,7 @@ def _flow_rows(field, y0, t_end, atol, rtol):
     # starting step heuristic (one Euler probe); the first evaluation is the
     # array call, so a state of the wrong size raises with its message
     sc = atol + rtol * np.abs(y)
-    f0 = np.asarray(field(y_start, np.zeros(idx.size)), dtype=float).T
+    f0 = _value(field, y_start, np.zeros(idx.size)).T
     d0 = np.sqrt(_mean_sq(y, sc))
     d1 = np.sqrt(_mean_sq(f0, sc))
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
@@ -561,21 +549,32 @@ def _fmin(a, b):
     return a if a <= b or a != a else b
 
 
-def _stage_source(tab, d, embedded=False):
-    """Source of one step of the explicit tableau ``tab`` from the floats
-    ``u0, ..., u_{d-1}``, calling the field as ``F(h, z0, ..., z_{d-1})``.
+# per kind of step code, what its stage checks call (None: no checks)
+_STAGE_CHECKS = {"floats": math.isfinite, "arrays": _all_finite,
+                 "unchecked": None, "embedded": None}
+
+
+def _stage_source(tab, d, kind="floats"):
+    """Source of one step of the explicit tableau ``tab`` from the
+    variables ``u0, ..., u_{d-1}``, calling the field as
+    ``F(h, z0, ..., z_{d-1})``.
 
     Stage inputs are ``u + c0*x0 + ...`` with ``c = a_ij h``, left to right
-    over the nonzero ``a_ij`` (:func:`_plan`).  ``step`` is
-    :func:`rk_stage_loop` with ``checked``: it raises on a non-finite stage
-    and returns ``u + e0*x0 + ...``, ``e = b_i h`` over the nonzero ``b_i``.
-    With ``embedded``, ``stages`` is DOPRI5's pair for :func:`_flow_one`:
-    new state and error estimate, each ``0.0 + b0*x0 + ... + b6*x6`` with
-    the zero weights kept (``0*inf`` stays NaN).
+    over the nonzero ``a_ij`` (:func:`_plan`).  ``step`` returns
+    ``u + e0*x0 + ...``, ``e = b_i h`` over the nonzero ``b_i``.  Its
+    variables are floats (kind ``"floats"``), or one whole state array
+    (:func:`rk_stage_loop`: ``"arrays"``, or ``"unchecked"`` for
+    training); the checked kinds raise :class:`StageOverflowError` on a
+    stage their ``isfinite`` (:data:`_STAGE_CHECKS`) finds non-finite.
+    Kind ``"embedded"`` makes ``stages``, DOPRI5's pair for
+    :func:`_flow_one`: new state and error estimate, each
+    ``0.0 + b0*x0 + ... + b6*x6`` with the zero weights kept
+    (``0*inf`` stays NaN).
     """
     coeffs, rows = _plan(tab)
     b = tab.b.tolist()
     us = [f"u{i}" for i in range(d)]
+    embedded = kind == "embedded"
     name = "stages" if embedded else "step"
     lines = [f"def {name}(F, h, {', '.join(us)}):"]
     for s, row in enumerate(rows):
@@ -585,7 +584,7 @@ def _stage_source(tab, d, embedded=False):
               for i, u in enumerate(us)]
         lines.append(f"    {''.join(k + ', ' for k in ks)}"
                      f"= F(h, {', '.join(zs)})")
-        if not embedded:
+        if _STAGE_CHECKS[kind] is not None:
             finite = " and ".join(f"isfinite({k})" for k in ks)
             msg = f"non-finite field value in stage {s} of {tab.name}"
             lines += [f"    if not ({finite}):",
@@ -611,13 +610,15 @@ def _stage_source(tab, d, embedded=False):
 
 
 @cache
-def _stages(tab, d, embedded=False):
-    """The compiled :func:`_stage_source`, once per tableau and ``d``."""
-    name = "stages" if embedded else "step"
-    namespace = {"isfinite": math.isfinite,
+def _stages(tab, d, kind="floats"):
+    """The compiled :func:`_stage_source`, once per tableau, ``d`` and
+    kind."""
+    name = "stages" if kind == "embedded" else "step"
+    where = f"d={d}" if kind in ("floats", "embedded") else kind
+    namespace = {"isfinite": _STAGE_CHECKS[kind],
                  "StageOverflowError": StageOverflowError}
-    return define(_stage_source(tab, d, embedded),
-                  f"{tab.name} {name} d={d}", namespace, name)
+    return define(_stage_source(tab, d, kind), f"{tab.name} {name} {where}",
+                  namespace, name)
 
 
 def _flow_one(field, y0, t_end, atol, rtol, collect):
@@ -639,8 +640,7 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
         F = _float_field(field, len(y))
     else:
         def F(h, *z):
-            out = field(np.array([z]), np.array([h]))
-            return np.asarray(out, dtype=float)[0].tolist()
+            return _value(field, np.array([z]), np.array([h]))[0].tolist()
     hist_t, hist_y = [0.0], [y]
 
     def result(y, ok, t):
@@ -651,7 +651,7 @@ def _flow_one(field, y0, t_end, atol, rtol, collect):
 
     if not tend > 0:
         return result(y, True, tend)
-    stages = _stages(_TABLEAUS["dopri5"], len(y), True)
+    stages = _stages(_TABLEAUS["dopri5"], len(y), "embedded")
     t = 0.0
     h_floor = 1e-13 * max(1.0, tend)
 

@@ -9,7 +9,7 @@ with each ``f_j`` a d->d network and ``R`` a (d+1)->d network taking the
 step as an extra input.  At h = 0 the learned field reduces to the base
 field, so any consistent scheme driven by it stays consistent.  Training
 minimizes the h-weighted one-step mean squared error.  Its step is the
-inference step: :func:`scheme_step` runs the same Runge-Kutta stage loop
+inference step: :func:`scheme_step` runs the same Runge-Kutta step code
 on arrays, and each evaluation of the learned field records its
 closed-form vector-Jacobian product: the base field's through its jet
 Jacobian, each net's through the tanh-MLP product ``_mlp_backward``,
@@ -244,19 +244,15 @@ class ModifiedFieldModel:
         hcol = np.array([h]) if isinstance(h, float) else h[..., None]
         if hcol.shape[:-1] != y.shape[:-1]:
             hcol = np.broadcast_to(hcol, y.shape[:-1] + (1,))
-        if vjps is None:
-            out = self.base(y)
-            for j, net in enumerate(self.term_nets):
-                out = out + hcol ** (self.p + j) * mlp_forward(net, y)
-            x = np.concatenate([y, hcol], axis=-1)
-            return out + (hcol ** (self.p + self.n_terms - 1)
-                          * mlp_forward(self.remainder_net, x))
         xs = [y] * len(self.term_nets) + [np.concatenate([y, hcol], axis=-1)]
         scales = [hcol ** (self.p + j) for j in range(self.n_terms)]
-        acts = [[] for _ in xs]
+        acts = [None] * len(xs) if vjps is None else [[] for _ in xs]
         out = self.base(y)
         for net, x, c, keep in zip(self.nets, xs, scales, acts):
-            out = out + c * _layers(net, x, keep)
+            out = out + c * (mlp_forward(net, x) if keep is None
+                             else _layers(net, x, keep))
+        if vjps is None:
+            return out
 
         def vjp(g, wrt_y):
             # y's gradient sums the base field's part, then each net's in

@@ -224,8 +224,7 @@ def parse_config(text, base=None):
             if key == "p":
                 legacy_p = int(val)
             else:
-                updates[key] = _config_value(key, val,
-                                             getattr(TrainConfig(), key))
+                updates[key] = _config_value(key, val, by_name[key].default)
         except ValueError as exc:
             raise ValueError(f"config line {ln}: {key}: {exc}") from None
     cfg = replace(cfg, **updates)

@@ -1,9 +1,11 @@
-"""Numerical oracles for the modified-field terms.
+"""Numerical oracles for the modified-field terms and the stepping.
 
 These solve against the exact flow instead of using B-series tables, so
 they are independent references for the closed-form terms of
 :mod:`modfield.modified_field`: a least-squares extraction of ``f^[1]``
-and a probe of the implicit-midpoint modified field.
+and a probe of the implicit-midpoint modified field.  A textbook
+Runge-Kutta stage loop is the reference for the step code the package
+generates from a tableau.
 """
 
 import warnings
@@ -11,7 +13,7 @@ import warnings
 import numpy as np
 
 from modfield import jets
-from modfield.errors import FixedPointError
+from modfield.errors import FixedPointError, StageOverflowError
 from modfield.integrators import adaptive_flow_batch, get_stepper, get_tableau
 from modfield.systems import VectorFieldSpec, reference_trajectory
 
@@ -144,3 +146,30 @@ def midpoint_odd_coefficients(field, x, hs, tol=1e-12):
     design = np.stack([hs**3, hs**5], axis=1)
     coef, *_ = np.linalg.lstsq(design, odd, rcond=None)
     return coef
+
+
+def textbook_rk_step(tab, field, y, h):
+    """One explicit Runge-Kutta step, written stage by stage on arrays.
+
+    Stage ``i`` evaluates ``k_i = field(y_i, h)`` at
+    ``y_i = y + sum_{j<i} (h a_ij) k_j``, and the step is
+    ``y + sum_i (h b_i) k_i``; both sums run left to right and skip zero
+    coefficients.  A non-finite stage raises :class:`StageOverflowError`
+    naming it.
+    """
+    ks = []
+    for i in range(tab.stages):
+        yi = y
+        for j in range(i):
+            if tab.a[i, j] != 0.0:
+                yi = yi + (h * tab.a[i, j]) * ks[j]
+        k = np.asarray(field(yi, h), dtype=float)
+        if not np.isfinite(k).all():
+            raise StageOverflowError(
+                f"non-finite field value in stage {i} of {tab.name}", stage=i)
+        ks.append(k)
+    out = y
+    for bi, k in zip(tab.b, ks):
+        if bi != 0.0:
+            out = out + (h * bi) * k
+    return out

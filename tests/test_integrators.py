@@ -40,6 +40,7 @@ from modfield.systems import (
     get_system,
     reference_trajectory,
 )
+from oracles import textbook_rk_step
 
 
 def linear_field(a):
@@ -541,13 +542,13 @@ def test_rigid_bodies_get_their_own_float_programs():
 
 def test_stage_code_is_built_once_per_dimension(monkeypatch):
     # once per tableau, dimension and kind: DOPRI5's embedded pair for the
-    # one-row flow, and each explicit tableau's fixed step
+    # one-row flow, each explicit tableau's fixed step on floats, and its
+    # step on arrays (one variable), checked and unchecked
     built = []
     source = integrators._stage_source
     monkeypatch.setattr(integrators, "_stage_source",
-                        lambda tab, d, embedded=False: built.append(
-                            (tab.name, d, embedded))
-                        or source(tab, d, embedded))
+                        lambda tab, d, kind="floats": built.append(
+                            (tab.name, d, kind)) or source(tab, d, kind))
     integrators._stages.cache_clear()
     for _ in range(2):
         for spec, y0, _ in _one_row_specs():
@@ -562,10 +563,19 @@ def test_stage_code_is_built_once_per_dimension(monkeypatch):
                                       np.array(y0), 0.1, 3)
                         except StageOverflowError:
                             pass
+                        for checked in (True, False):
+                            try:
+                                integrators.rk_stage_loop(
+                                    get_tableau(scheme), field,
+                                    np.array([y0, y0]), 0.1, checked)
+                            except StageOverflowError:
+                                pass
     assert sorted(built) == sorted(
-        (name, d, kind) for name, kind in (
-            ("dopri5", False), ("dopri5", True), ("euler", False))
-        for d in (1, 2, 3))
+        [(name, d, kind) for name, kind in (
+            ("dopri5", "floats"), ("dopri5", "embedded"),
+            ("euler", "floats")) for d in (1, 2, 3)]
+        + [(name, 1, kind) for name in ("dopri5", "euler")
+           for kind in ("arrays", "unchecked")])
 
 
 def test_tracebacks_show_generated_lines(pendulum):
@@ -610,7 +620,7 @@ _DOPRI5_STAGE_SOURCE_SHA256 = {
 def test_dopri5_stage_source_is_unchanged():
     tab = get_tableau("dopri5")
     for d, digest in _DOPRI5_STAGE_SOURCE_SHA256.items():
-        src = integrators._stage_source(tab, d, embedded=True)
+        src = integrators._stage_source(tab, d, "embedded")
         assert hashlib.sha256(src.encode()).hexdigest() == digest
 
 
@@ -651,24 +661,29 @@ def _float_fields(system, scheme):
 @pytest.mark.parametrize("name", ["euler", "rk2_midpoint", "rk2_heun",
                                   "dopri5"])
 def test_float_steps_match_the_stage_loop(system, name):
-    # rk_step and integrate on one state against rk_stage_loop on arrays:
-    # the same bits, or the same error with the same stage and step
+    # the step on arrays (rk_step) and the orbit on floats (integrate with
+    # the scheme's stepper) against a textbook stage loop: the same bits,
+    # or the same error with the same stage and step
     tab = get_tableau(name)
 
+    def textbook(field, y, h):
+        return textbook_rk_step(tab, field, y, h)
+
     def array_stepper(field, y, h):
-        return integrators.rk_stage_loop(tab, field, y, h, checked=True)
+        return rk_step(tab, field, y, h)
 
     kinds = set()
     for field in _float_fields(system, "euler" if name == "dopri5" else name):
         for y in map(np.array, _FLOAT_STATES[system]):
             for h in (0.1, 1.25):
-                want = _outcome(lambda: array_stepper(field, y, h))
-                assert _outcome(lambda: rk_step(tab, field, y, h)) == want
+                want = _outcome(lambda: textbook(field, y, h))
+                assert _outcome(lambda: array_stepper(field, y, h)) == want
                 want = _outcome(
-                    lambda: integrate(array_stepper, field, y, h, 6).states)
-                got = _outcome(lambda: integrate(get_stepper(name), field,
-                                                 y, h, 6).states)
-                assert got == want
+                    lambda: integrate(textbook, field, y, h, 6).states)
+                for stepper in (array_stepper, get_stepper(name)):
+                    got = _outcome(
+                        lambda: integrate(stepper, field, y, h, 6).states)
+                    assert got == want
                 kinds.add(want[0])
     assert kinds == {"<f8", StageOverflowError}
 
@@ -709,3 +724,22 @@ def test_a_field_value_of_the_wrong_size_is_refused(scheme, size):
         integrate(get_stepper(scheme), field, np.zeros(2), 0.1, 2)
     with pytest.raises(ValueError, match=msg):
         get_stepper(scheme)(field, np.zeros(2), 0.1)
+    # nor broadcast to a batch of states
+    with pytest.raises(ValueError, match=rf"shape \(3, {size}\) for a "
+                       rf"state of shape \(3, 2\)"):
+        get_stepper(scheme)(lambda y, h: np.ones((3, size)), np.zeros((3, 2)),
+                            0.1)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("probe", [True, False])
+def test_dopri5_refuses_a_field_value_of_the_wrong_size(rows, probe):
+    # both loops, at the start probe's first call (h = 0) or after it
+    def field(y, h):
+        wrong = probe == (np.max(h) == 0.0)
+        return np.ones(y.shape[:-1] + (1 if wrong else 2,))
+
+    with pytest.raises(ValueError, match=rf"field value has shape "
+                       rf"\({rows}, 1\) for a state of shape \({rows}, 2\)"):
+        adaptive_flow_batch(field, np.ones((rows, 2)), np.ones(rows), 1e-8,
+                            1e-8)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from modfield import neural, training
+from modfield import neural, systems, training
 from modfield.errors import (ConditioningError, DomainSamplingError,
                              TrainingDivergedError)
 from modfield.integrators import adaptive_flow_batch, box_grid, get_tableau
@@ -175,6 +175,22 @@ def test_parse_config_rejects_garbage():
         parse_config("just some words\n")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("not_a_field=3\n")
+
+
+def test_parse_config_builds_no_spec_per_line(monkeypatch):
+    # a line's default comes from the dataclass field, not from a fresh
+    # TrainConfig, whose check builds its system's spec
+    built = []
+    init = systems.VectorFieldSpec.__post_init__
+    monkeypatch.setattr(systems.VectorFieldSpec, "__post_init__",
+                        lambda self: built.append(self.name) or init(self))
+    base = PRESETS["desk-rigid-body-euler"]
+    counts = []
+    for text in ("", "epochs=3\nseed=7\nlearning_rate=1e-3\n"):
+        built.clear()
+        parse_config(text, base=base)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_get_preset_returns_copies():
