@@ -187,6 +187,17 @@ def _max_traj_error(states, ref_states):
     return float(np.max(np.linalg.norm(states - ref_states, axis=-1)))
 
 
+def _orbit_cells(run, ref, repeats=0):
+    """Median seconds (:func:`_timed`, if ``repeats``) and error against
+    ``ref`` of the orbit ``run()``; nan for each on a ModfieldError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            *seconds, states = _timed(run, repeats) if repeats else [run()]
+        except ModfieldError:
+            *seconds, states = [math.nan] * (2 if repeats else 1)
+        return [*seconds, _max_traj_error(states, ref)]
+
+
 # -- commands -------------------------------------------------------------
 
 
@@ -217,15 +228,17 @@ def _fit(cfg, ds, data=None):
                               test_set, cfg)
     except TrainingDivergedError as exc:
         record = int(training._split_order(len(ds), cfg.seed)[exc.record])
-        raise TrainingDivergedError(
-            f"{exc} of the training split, dataset record {record}",
-            epoch=exc.epoch, batch=exc.batch, record=record) from exc
+        raise exc.at(f"{exc} of the training split, dataset record {record}",
+                     record=record) from exc
 
 
 @_command("train")
 def cmd_train(args, cfg):
     if args.data:
         ds = training.load_dataset(args.data)
+        if ds.system and ds.system != cfg.system:
+            raise ValueError(f"--data {args.data} holds {ds.system!r} "
+                             f"records, the config trains {cfg.system!r}")
     else:
         ds = training.generate_dataset(cfg, workers=_workers())
     model, report = _fit(cfg, ds, args.data)
@@ -285,11 +298,8 @@ def cmd_convergence(args, cfg):
         ref = reference_trajectory(model.base, y0, times, tol=1e-12)
         row = [h]
         for field in (model.base, model):
-            try:
-                states = integrate(stepper, field, y0, h, n).states
-                row.append(_max_traj_error(states, ref))
-            except ModfieldError:
-                row.append(float("nan"))
+            row += _orbit_cells(
+                lambda: integrate(stepper, field, y0, h, n).states, ref)
         rows.append(row)
     return [args.model], {
         "convergence.csv": (["h", "err_f", "err_fapp"], rows)}
@@ -323,19 +333,17 @@ def cmd_efficiency(args, cfg):
           else [h0 * 2.0**-j for j in range(3)])
     tols = _floats(args.tol_list)
 
+    fields = [("scheme_f", base), ("scheme_fapp", model)] + [
+        (f"scheme_trunc_k{k}", modified_field.truncated_field(base, scheme, k))
+        for k in ks]
     rows = []
     for h in hs:
         n, times = _grid(T, h)
         ref = reference_trajectory(base, y0, times, tol=1e-12)
-        fields = [("scheme_f", base), ("scheme_fapp", model)]
-        for k in ks:
-            fields.append((f"scheme_trunc_k{k}",
-                           modified_field.truncated_field(base, scheme, k)))
         for name, fld in fields:
-            seconds, states = _timed(
-                lambda fld=fld: integrate(stepper, fld, y0, h, n).states,
-                args.repeats)
-            rows.append([name, h, seconds, _max_traj_error(states, ref)])
+            rows.append([name, h, *_orbit_cells(
+                lambda: integrate(stepper, fld, y0, h, n).states, ref,
+                args.repeats)])
     for tol in tols:
         seconds, traj = _timed(
             lambda tol=tol: dopri5_integrate(base, y0, T, tol, tol),

@@ -2,7 +2,22 @@
 
 
 class ModfieldError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.
+
+    A subclass declares the fields saying where it happened as class
+    attributes set to ``None``; they are taken by keyword only.
+    """
+
+    def __init__(self, msg, **where):
+        super().__init__(msg)
+        for name, value in where.items():
+            if getattr(type(self), name, ...) is not None:
+                raise TypeError(f"{type(self).__name__} has no field {name!r}")
+            setattr(self, name, value)
+
+    def at(self, msg, **where):
+        """A new error like this one, saying ``msg``, with ``where`` set."""
+        return type(self)(msg, **{**vars(self), **where})
 
 
 class IntegrationFailureError(ModfieldError):
@@ -11,9 +26,7 @@ class IntegrationFailureError(ModfieldError):
     Carries ``t_reached``, the last time the solver advanced to.
     """
 
-    def __init__(self, msg, t_reached=None):
-        super().__init__(msg)
-        self.t_reached = t_reached
+    t_reached = None
 
 
 class DomainSamplingError(ModfieldError):
@@ -22,9 +35,7 @@ class DomainSamplingError(ModfieldError):
     Carries ``record``, the index of the record being drawn, where known.
     """
 
-    def __init__(self, msg, record=None):
-        super().__init__(msg)
-        self.record = record
+    record = None
 
 
 class StageOverflowError(ModfieldError):
@@ -34,10 +45,7 @@ class StageOverflowError(ModfieldError):
     multi-step integration, ``step_index``.
     """
 
-    def __init__(self, msg, stage=None, step_index=None):
-        super().__init__(msg)
-        self.stage = stage
-        self.step_index = step_index
+    stage = step_index = None
 
 
 class FixedPointError(ModfieldError):
@@ -47,11 +55,7 @@ class FixedPointError(ModfieldError):
     when raised from a multi-step integration.
     """
 
-    def __init__(self, msg, residual=None, iterations=None, step_index=None):
-        super().__init__(msg)
-        self.residual = residual
-        self.iterations = iterations
-        self.step_index = step_index
+    residual = iterations = step_index = None
 
 
 class UnsupportedTruncationError(ModfieldError):
@@ -68,11 +72,7 @@ class TrainingDivergedError(ModfieldError):
     Carries ``epoch``, ``batch`` and ``record`` indices where known.
     """
 
-    def __init__(self, msg, epoch=None, batch=None, record=None):
-        super().__init__(msg)
-        self.epoch = epoch
-        self.batch = batch
-        self.record = record
+    epoch = batch = record = None
 
 
 class CheckpointError(ModfieldError):

@@ -19,7 +19,7 @@ import numpy as np
 from . import jets
 from ._recorder import define
 from .errors import FixedPointError, IntegrationFailureError, StageOverflowError
-from .systems import VectorFieldSpec, check_size
+from .systems import VectorFieldSpec, check_size, check_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,39 +278,28 @@ class Trajectory:
 def integrate(stepper, field, y0, h, n_steps):
     """Fixed-step integration: ``n_steps`` steps of size ``h``.
 
-    ``times[n] = n*h``.  Stepper errors are re-raised with the failing
-    step index attached.  One 1-D state and a stepper with a ``tableau``
-    step in one loop on floats (:func:`_stage_source`); other steppers
-    are called once per step.
+    ``times[n] = n*h``, and ``y0`` is one non-empty 1-D state.  Stepper
+    errors are re-raised with the failing step index attached.  A stepper
+    with a ``tableau`` steps in one loop on floats (:func:`_stage_source`);
+    other steppers are called once per step.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    y = np.asarray(y0, dtype=float)
+    y = check_state(y0)
     tab = getattr(stepper, "tableau", None)
-    floats = tab is not None and y.ndim == 1 and y.size > 0
-    if floats:
+    if tab is not None:
         step, F = _stages(tab, y.size), _float_field(field, y.size)
-        rows = [y.tolist()]
-    else:
-        states = np.empty((n_steps + 1, y.size))
-        states[0] = y
+        y = y.tolist()
+    rows = [y]
     try:
         for i in range(n_steps):
-            if floats:
-                rows.append(step(F, h, *rows[-1]))
-            else:
-                states[i + 1] = y = stepper(field, y, h)
-    except StageOverflowError as e:
-        raise StageOverflowError(
-            f"step {i}: {e}", stage=e.stage, step_index=i) from e
-    except FixedPointError as e:
-        raise FixedPointError(
-            f"step {i}: {e}", residual=e.residual,
-            iterations=e.iterations, step_index=i) from e
-    return Trajectory(np.arange(n_steps + 1) * float(h),
-                      np.array(rows) if floats else states)
+            rows.append(stepper(field, rows[-1], h) if tab is None
+                        else step(F, h, *rows[-1]))
+    except (StageOverflowError, FixedPointError) as e:
+        raise e.at(f"step {i}: {e}", step_index=i) from e
+    return Trajectory(np.arange(n_steps + 1) * float(h), np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +705,7 @@ def dopri5_integrate(field, y0, t_end, atol, rtol):
     Raises :class:`IntegrationFailureError` carrying the last reached time
     on step-size underflow.
     """
-    y0 = np.asarray(y0, dtype=float)
-    if y0.ndim != 1:
-        raise ValueError(
-            f"y0 must be a 1-D state vector, got shape {y0.shape}")
+    y0 = check_state(y0)
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     _, ok, reached, (ts, ys) = adaptive_flow_batch(

@@ -23,6 +23,14 @@ def check_size(n, dim):
         raise ValueError(f"state has last dimension {n}, expected {dim}")
 
 
+def check_state(y0):
+    """``y0`` as one non-empty 1-D float state, or a ``ValueError``."""
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"y0 must be one 1-D state, got shape {y.shape}")
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class VectorFieldSpec:
     """An autonomous vector field ``y' = f(y)`` with named invariants.
@@ -229,9 +237,7 @@ def reference_trajectory(field, y0, times, tol=1e-12):
         raise ValueError(f"times must be finite, got {bad[0]}")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing and start >= 0")
-    y = np.asarray(y0, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"y0 must be one 1-D state, got shape {y.shape}")
+    y = check_state(y0)
     if isinstance(field, VectorFieldSpec):
         check_size(y.size, field.dim)
     out = np.empty((times.size, y.size))

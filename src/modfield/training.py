@@ -479,8 +479,7 @@ def _draw_record_state(rng, box, record):
     try:
         return _draw_state(rng, box)
     except DomainSamplingError as exc:
-        raise DomainSamplingError(f"record {record}: {exc}",
-                                  record=record) from None
+        raise exc.at(f"record {record}: {exc}", record=record) from None
 
 
 def _draw_pair(rng, box, log_lo, log_hi, record):
@@ -667,7 +666,7 @@ def _descend(theta, data, grad_at, cfg, seed, what):
                 grad = grad_at(*(a[s:s + cfg.batch_size] for a in shuffled))
             except TrainingDivergedError as exc:
                 record = int(perm[s + exc.record])
-                raise TrainingDivergedError(
+                raise exc.at(
                     f"{what} diverged at epoch {epoch}, batch {bi}: "
                     f"non-finite loss at record {record}",
                     epoch=epoch, batch=bi, record=record) from exc

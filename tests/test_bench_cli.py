@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from modfield.bench_cli import main
 from modfield.modified_field import truncated_field
 from modfield.neural import init_model, load_model, save_model
 from modfield.systems import get_system
-from modfield.training import (TrainConfig, load_dataset, save_config,
-                                save_dataset, split_dataset)
+from modfield.training import (Dataset, TrainConfig, load_dataset,
+                               save_config, save_dataset, split_dataset)
 
 
 def micro_cfg(**kw):
@@ -114,6 +115,26 @@ def test_train_from_dataset_file(tmp_path, cfg_file):
                  "--data", str(gen / "dataset.csv")]) == 0
     doc = check_manifest(out, "train")
     assert doc["inputs"] == [str(gen / "dataset.csv")]
+
+
+def test_train_refuses_a_dataset_of_another_system(tmp_path, cfg_file,
+                                                   capsys):
+    y = np.full((40, 3), 0.5)
+    ds = Dataset(y, np.full(40, 0.1), y, "rigid_body", "euler", 1e-10, 0)
+    data, out = tmp_path / "rigid.csv", tmp_path / "o"
+    save_dataset(ds, data)
+    rc = main(["train", "--config", cfg_file, "--out", str(out),
+               "--data", str(data)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --data {data} holds 'rigid_body' records, the config "
+        "trains 'pendulum'\n")
+    assert not out.exists()
+    # a header without a system name is not checked
+    save_dataset(replace(ds, system=""), data)
+    assert main(["train", "--config", cfg_file, "--out", str(out),
+                 "--data", str(data)]) == 2
+    assert "last dimension 3, expected 2" in capsys.readouterr().err
 
 
 def test_train_alt_outputs(tmp_path, cfg_file):
@@ -245,6 +266,25 @@ def test_efficiency_heun_truncations(tmp_path, cfg_file):
     assert [r[0] for r in rows] == ["scheme_f", "scheme_fapp",
                                     "scheme_trunc_k2", "scheme_trunc_k3",
                                     "dopri5"]
+
+
+def test_efficiency_records_a_failing_orbit_as_nan(tmp_path, untrained,
+                                                   capsys):
+    # at h=4 the truncated Euler field k=3 overflows in step 8; as in
+    # convergence, its row reads nan and the command writes its CSV
+    out = tmp_path / "eff"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["efficiency", "--model", untrained, "--out", str(out),
+                   "--T", "400", "--h-list", "4", "--tol-list", "1e-4",
+                   "--repeats", "3"])
+    assert rc == 0
+    assert caught == [] and capsys.readouterr().err == ""
+    _, _, rows = read_csv(out / "efficiency.csv")
+    assert [r for r in rows if "nan" in r] == [
+        ["scheme_trunc_k3", "4", "nan", "nan"]]
+    assert all(np.isfinite(float(v)) for r in rows[:3] + rows[4:]
+               for v in r[1:])
 
 
 def test_invariant_drift(tmp_path, trained):

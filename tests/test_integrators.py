@@ -303,6 +303,13 @@ def test_malformed_states_are_rejected(pendulum):
         reference_trajectory(pendulum, 1.5, [0.1])
     with pytest.raises(ValueError, match=r"got shape \(1, 2\)"):
         dopri5_integrate(pendulum, np.array([[1.5, 0.0]]), 0.5, 1e-10, 1e-10)
+    # fixed steps take one state, explicit or implicit, with components
+    for shape in ((3, 2), (1, 2), (), (0,)):
+        for scheme in ("euler", "midpoint"):
+            with pytest.raises(ValueError, match="y0 must be one 1-D state, "
+                               f"got shape {re.escape(str(shape))}"):
+                integrate(get_stepper(scheme), pendulum, np.zeros(shape),
+                          0.1, 2)
     for shape in ((2, 1, 2), (1, 1, 2)):
         with pytest.raises(ValueError,
                            match=f"got shape {re.escape(str(shape))}"):
