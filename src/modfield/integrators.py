@@ -19,7 +19,7 @@ import numpy as np
 from . import jets
 from ._recorder import define
 from .errors import FixedPointError, IntegrationFailureError, StageOverflowError
-from .systems import VectorFieldSpec, check_size, check_state
+from .systems import VectorFieldSpec, check_size, check_state, check_states
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +167,7 @@ def rk_step(tab, field, y, h):
     """
     if not tab.is_explicit:
         raise ValueError(f"tableau {tab.name!r} is not explicit")
-    return rk_stage_loop(tab, field, np.asarray(y, dtype=float), h,
-                         checked=True)
+    return rk_stage_loop(tab, field, check_states(y), h, checked=True)
 
 
 def _value(field, y, h):
@@ -209,8 +208,8 @@ def implicit_midpoint_step(field, y, h):
     components of one 1-D state with a float ``h`` as floats, anything
     else as one variable, the whole array.
     """
-    y = np.asarray(y, dtype=float)
-    floats = y.ndim == 1 and y.size > 0 and isinstance(h, float)
+    y = check_states(y)
+    floats = y.ndim == 1 and isinstance(h, float)
     if floats:
         F, finite, norm = _float_field(field, y.size), math.isfinite, abs
         y = y.tolist()
@@ -371,7 +370,7 @@ def adaptive_flow_batch(field, y0, t_end, atol, rtol, collect=False):
     generation, per-term targets) runs :func:`_flow_rows` on arrays held
     component-major: the states are ``d`` contiguous rows of ``n`` records,
     the stage stack is ``(7, d, n)``, and a spec is evaluated through its
-    ``components`` on the component rows, its probe being the array call.
+    ``components`` on the component rows, its start-step probe included.
     Both loops check a spec's state size as the array call does (also when
     no record steps).  Any other field is called on C-contiguous
     ``(n, d)`` states with one step per row, and a value of another shape
@@ -430,14 +429,9 @@ def _flow_rows(field, y0, t_end, atol, rtol):
     out_ok = np.ones(n, dtype=bool)
     out_reached = np.where(t_end > 0, 0.0, t_end)
 
-    if isinstance(field, VectorFieldSpec):
-        check_size(d, field.dim)
-    idx = np.flatnonzero(t_end > 0)
-    if idx.size == 0:
-        return out_y, out_ok, out_reached
-
     # f(y, h, out) writes the field at the component rows y into out
     if isinstance(field, VectorFieldSpec):
+        check_size(d, field.dim)
         comps = field.components
 
         def f(y, h, out):
@@ -447,16 +441,18 @@ def _flow_rows(field, y0, t_end, atol, rtol):
         def f(y, h, out):
             out[...] = _value(field, np.ascontiguousarray(y.T), h).T
 
-    y_start = y0[idx]
-    y = np.ascontiguousarray(y_start.T)
+    idx = np.flatnonzero(t_end > 0)
+    if idx.size == 0:
+        return out_y, out_ok, out_reached
+    y = np.ascontiguousarray(y0[idx].T)
     tend = t_end[idx]
     t = np.zeros(idx.size)
     h_floor = 1e-13 * np.maximum(1.0, tend)
 
-    # starting step heuristic (one Euler probe); the first evaluation is the
-    # array call, so a state of the wrong size raises with its message
+    # starting step heuristic (one Euler probe)
     sc = atol + rtol * np.abs(y)
-    f0 = _value(field, y_start, np.zeros(idx.size)).T
+    f0 = np.empty_like(y)
+    f(y, np.zeros(idx.size), f0)
     d0 = np.sqrt(_mean_sq(y, sc))
     d1 = np.sqrt(_mean_sq(f0, sc))
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
@@ -467,7 +463,7 @@ def _flow_rows(field, y0, t_end, atol, rtol):
     d2 = np.sqrt(_mean_sq(f1 - f0, sc)) / h0
     dmax = np.maximum(d1, d2)
     h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / dmax) ** 0.2)
+                  (0.01 / np.maximum(dmax, 1e-300)) ** 0.2)
     h = np.minimum(np.minimum(100.0 * h0, h1), tend)
 
     facold = np.full(idx.size, 1e-4)

@@ -328,10 +328,7 @@ def _step_tableau(scheme):
     key = canonical_scheme(scheme)
     if key == "midpoint":
         return _MIDPOINT_UNROLL
-    tab = get_tableau(key)
-    if not tab.is_explicit:
-        raise ValueError(f"scheme {scheme!r} is not supported for stepping")
-    return tab
+    return get_tableau(key)
 
 
 def scheme_step(model, scheme, y0, h, vjps=None):

@@ -31,6 +31,15 @@ def check_state(y0):
     return y
 
 
+def check_states(y):
+    """``y`` as float states ``(..., d)``, ``d >= 1``, or a ``ValueError``."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0 or y.shape[-1] == 0:
+        raise ValueError(f"a state needs one or more components, got shape "
+                         f"{y.shape}")
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class VectorFieldSpec:
     """An autonomous vector field ``y' = f(y)`` with named invariants.

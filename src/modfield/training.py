@@ -482,23 +482,22 @@ def _draw_record_state(rng, box, record):
         raise exc.at(f"record {record}: {exc}", record=record) from None
 
 
-def _draw_pair(rng, box, log_lo, log_hi, record):
-    y0 = _draw_record_state(rng, box, record)
-    h = math.exp(rng.uniform(log_lo, log_hi))
-    return y0, h
-
-
-def _first_candidates(words, box, k):
-    """Each record's first candidate state, the first ``k`` doubles of
-    its stream, and the rows whose candidate the shell rejects."""
+def _record_states(words, box, start, k):
+    """Each record's state, the first ``k`` doubles of its stream, and,
+    keyed by row, the generator of each record whose first candidate the
+    shell rejects, set just after the state it drew through the sampler."""
     u = _record_doubles(words, k)
     x = box.lower + (box.upper - box.lower) * u[:, :box.lower.size]
     if box.shell is None:
-        return x, u, []
-    rejected = np.ones(len(x), dtype=bool)
+        return x, u, {}
+    accepted = np.zeros(len(x), dtype=bool)
     for j in _near_shell(x, box.shell):
-        rejected[j] = not _in_shell(x[j], box.shell)
-    return x, u, np.flatnonzero(rejected).tolist()
+        accepted[j] = _in_shell(x[j], box.shell)
+    rngs = {j: _RecordRng(words[j])
+            for j in np.flatnonzero(~accepted).tolist()}
+    for j, rng in rngs.items():
+        x[j] = _draw_record_state(rng, box, start + j)
+    return x, u, rngs
 
 
 def _generate_range(cfg, start, stop):
@@ -508,14 +507,12 @@ def _generate_range(cfg, start, stop):
     d = field_.dim
     log_lo, log_hi = math.log(cfg.h_min), math.log(cfg.h_max)
     words = _record_words(cfg.seed, start, stop)
-    y0, u, rejected = _first_candidates(words, box, d + 1)
-    # math.exp, as _draw_pair takes it, not np.exp
+    y0, u, rngs = _record_states(words, box, start, d + 1)
+    # math.exp, as the generators' steps below take it, not np.exp
     h = np.array([math.exp(v) for v in
                   (log_lo + (log_hi - log_lo) * u[:, d]).tolist()])
-    rngs = {}  # the records that have a generator, set after their last pair
-    for k in rejected:
-        rngs[k] = _RecordRng(words[k])
-        y0[k], h[k] = _draw_pair(rngs[k], box, log_lo, log_hi, start + k)
+    for k, rng in rngs.items():
+        h[k] = math.exp(rng.uniform(log_lo, log_hi))
     y1 = np.empty_like(y0)
     pending = np.arange(stop - start)
     resampled = 0
@@ -531,7 +528,8 @@ def _generate_range(cfg, start, stop):
             if k not in rngs:
                 rngs[k] = _RecordRng(words[k])
                 rngs[k].bit_generator.advance(d + 1)
-            y0[k], h[k] = _draw_pair(rngs[k], box, log_lo, log_hi, start + k)
+            y0[k] = _draw_record_state(rngs[k], box, start + k)
+            h[k] = math.exp(rngs[k].uniform(log_lo, log_hi))
         pending = failed
     raise IntegrationFailureError(
         f"{pending.size} records kept failing after 100 resampling rounds")
@@ -539,10 +537,9 @@ def _generate_range(cfg, start, stop):
 
 def generate_dataset(cfg, workers=1):
     """K exact-flow records, reproducible from ``cfg.seed`` alone."""
-    field_ = get_system(cfg.system)
     K = int(cfg.n_records)
     if K == 0:
-        empty = np.empty((0, field_.dim))
+        empty = np.empty((0, len(cfg.omega_lower)))
         return Dataset(empty, np.empty(0), empty.copy(),
                        cfg.system, cfg.scheme, cfg.tol, 0)
     chunk = 20_000
@@ -856,9 +853,7 @@ def build_alt_training_data(cfg):
     box = cfg.domain()
     K = int(cfg.n_records)
     words = _record_words(cfg.seed, 0, K)
-    X, _u, rejected = _first_candidates(words, box, field_.dim)
-    for i in rejected:
-        X[i] = _draw_record_state(_RecordRng(words[i]), box, i)
+    X, _u, _rngs = _record_states(words, box, 0, field_.dim)
     steps = np.geomspace(cfg.h_min, cfg.h_max, cfg.n_steps)
     C, R = alt_extract_targets(field_, X, steps, cfg.n_terms, cfg.p,
                                tol=cfg.tol)

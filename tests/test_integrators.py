@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,39 @@ def test_malformed_states_are_rejected(pendulum):
         with pytest.raises(ValueError, match=rf"got shape \({n}, 0\)"):
             adaptive_flow_batch(lambda y, h: y, np.zeros((n, 0)),
                                 np.full(n, 0.5), 1e-10, 1e-10)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), ()])
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_every_stepper_refuses_a_state_without_components(scheme, shape):
+    # explicit and implicit steps refuse one batch or state alike, before
+    # the field or any reduction over components sees it
+    with pytest.raises(ValueError, match="a state needs one or more "
+                       f"components, got shape {re.escape(str(shape))}"):
+        get_stepper(scheme)(lambda y, h: y, np.zeros(shape), 0.1)
+
+
+def test_rk_step_refuses_an_implicit_tableau(pendulum):
+    with pytest.raises(ValueError, match="tableau 'midpoint' is not "
+                                         "explicit"):
+        rk_step(get_tableau("midpoint"), pendulum, np.zeros(2), 0.1)
+
+
+def test_an_equilibrium_row_flows_without_a_warning(pendulum):
+    # the start-step probe sees a zero field and a zero slope on row 0;
+    # its one-row run takes both of the float loop's small-probe branches
+    y0, t_end = np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([0.1, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, ok, reached = adaptive_flow_batch(pendulum, y0, t_end, 1e-10,
+                                             1e-10)
+        for i in range(2):
+            y1, ok1, reached1 = adaptive_flow_batch(
+                pendulum, y0[i:i + 1], t_end[i:i + 1], 1e-10, 1e-10)
+            assert ok1[0] and ok[i]
+            assert y1.tobytes() == y[i:i + 1].tobytes()
+            assert reached1.tobytes() == reached[i:i + 1].tobytes()
+    assert y[0].tolist() == [0.0, 0.0]
 
 
 def test_dopri5_integrate_accuracy(pendulum):

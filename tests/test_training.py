@@ -8,7 +8,7 @@ import pytest
 
 from modfield import neural, systems, training
 from modfield.errors import (ConditioningError, DomainSamplingError,
-                             TrainingDivergedError)
+                             IntegrationFailureError, TrainingDivergedError)
 from modfield.integrators import adaptive_flow_batch, box_grid, get_tableau
 from modfield.modified_field import truncated_field
 from modfield.neural import (ModifiedFieldModel, init_model, mlp_forward,
@@ -731,6 +731,17 @@ def test_alt_extraction_step_validation(pendulum):
         alt_extract_targets(pendulum, y0,
                             [0.01, 0.01 * (1 + eps), 0.01 * (1 + 2 * eps)],
                             3, 1)
+
+
+def test_alt_extraction_names_a_failing_reference_flow():
+    # y' = y^2 from 2.0 blows up at t = 0.5, before the step 1.0 ends
+    blowup = systems.VectorFieldSpec("blowup", 1, lambda c: (c[0] * c[0],))
+    with pytest.raises(IntegrationFailureError,
+                       match=r"^reference flow failed at state 1, step 1\.0$"
+                       ) as info:
+        alt_extract_targets(blowup, np.array([[0.5], [2.0]]), [0.1, 1.0],
+                            2, 1)
+    assert 0.49 < info.value.t_reached <= 0.5
 
 
 def test_build_alt_training_data_shapes(pendulum):
